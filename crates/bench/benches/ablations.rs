@@ -4,11 +4,14 @@
 //! * OCR with/without dictionary post-correction, under light and heavy
 //!   noise,
 //! * phrase-bonus voting vs plain keyword counting (dictionary size
-//!   sensitivity via a truncated dictionary).
+//!   sensitivity via a truncated dictionary),
+//! * the compiled, interned-token classifier vs its string-set
+//!   reference (`nlp::vote::spec`).
 
 use disengage_bench::timing;
 use disengage_core::pipeline::default_corrector;
 use disengage_corpus::{CorpusConfig, CorpusGenerator};
+use disengage_nlp::vote::spec::SpecClassifier;
 use disengage_nlp::{Classifier, FailureDictionary, FaultTag};
 use disengage_ocr::engine::OcrEngine;
 use disengage_ocr::raster::rasterize;
@@ -47,6 +50,20 @@ fn bench_classifier_ablation() {
     });
     g.bench("truncated_dictionary", || {
         truncated.classify_all(descriptions.iter().copied())
+    });
+
+    let spec = SpecClassifier::new(full.dictionary());
+    let mut g = timing::group("nlp_compiled");
+    g.sample_size(20)
+        .throughput_elements(descriptions.len() as u64);
+    g.bench("spec", || {
+        descriptions
+            .iter()
+            .map(|d| spec.classify(d))
+            .collect::<Vec<_>>()
+    });
+    g.bench("compiled", || {
+        full.classify_all(descriptions.iter().copied())
     });
 }
 

@@ -2,7 +2,7 @@
 //! rendering + normalization, OCR digitization, and NLP tagging.
 
 use disengage_bench::timing;
-use disengage_core::tagging::tag_records;
+use disengage_core::tagging::tag_records_traced;
 use disengage_core::{RunConfig, RunSession};
 use disengage_corpus::{CorpusConfig, CorpusGenerator};
 use disengage_nlp::Classifier;
@@ -31,7 +31,15 @@ fn main() {
     });
     let classifier = Classifier::with_default_dictionary();
     g.bench("stage3_nlp_tagging", || {
-        tag_records(&classifier, corpus.truth.disengagements())
+        tag_records_traced(
+            &classifier,
+            corpus.truth.disengagements(),
+            &[],
+            1,
+            &disengage_obs::Collector::new(),
+            &disengage_obs::ProvenanceLog::disabled(),
+            &disengage_par::TaskTimeline::disabled(),
+        )
     });
     g.bench("end_to_end_passthrough", || {
         RunSession::new(RunConfig::new().with_corpus(corpus_cfg))

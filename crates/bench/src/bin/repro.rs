@@ -576,7 +576,7 @@ fn main() -> ExitCode {
     // reconcile across stages (see disengage_core::telemetry::reconcile).
     let snapshot = obs.report();
 
-    // Perf-baseline envelope: per-stage wall from the span tree,
+    // Perf-baseline envelope: per-stage wall summed over every shard,
     // end-to-end throughput, and (with a cache armed) the hit rate.
     if let Some(path) = &bench_out {
         let mut metrics: Vec<(String, f64)> =
@@ -588,8 +588,8 @@ fn main() -> ExitCode {
             "stage_ii_parse",
             "stage_iii_tag",
         ] {
-            if let Some(node) = snapshot.find_span(span) {
-                metrics.push((format!("{span}_s"), node.duration_s));
+            if let Some(total) = snapshot.span_total_s(span) {
+                metrics.push((format!("{span}_s"), total));
             }
         }
         if let Some(node) = snapshot.find_span("pipeline") {

@@ -18,10 +18,11 @@
 //! Each metric's *direction* is carried by its name, so the gate needs
 //! no side table: `*_s` is wall time (lower is better), `*_per_s`,
 //! `speedup`, and `*hit_rate` are rates (higher is better). Anything
-//! else is informational and never gates. Comparisons are skipped
-//! entirely — with a warning, not a failure — when the baseline was
+//! else is informational and never gates. Relative comparisons are
+//! skipped — with a warning, not a failure — when the baseline was
 //! taken on a machine with a different core count, since a pool
-//! speedup measured on 8 cores says nothing about a 2-core box.
+//! speedup measured on 8 cores says nothing about a 2-core box. The
+//! absolute budget ceilings ([`ceiling`]) are checked regardless.
 //!
 //! Timing on shared machines is noisy; the default tolerance is
 //! deliberately loose (±40%) and meant to catch step-change
@@ -209,10 +210,12 @@ fn cores_of(v: &Value) -> Option<f64> {
 }
 
 /// Compares `candidate` against `baseline` with a relative
-/// `tolerance`. Fails on schema mismatch or malformed envelopes;
-/// skips (never fails) when the two machines have different core
-/// counts. Metrics present in only one envelope are ignored — adding
-/// a metric must not invalidate old baselines.
+/// `tolerance`. Errors on schema mismatch or malformed envelopes.
+/// Absolute [`ceiling`]s are checked first, on any machine; when the
+/// two machines have different core counts the relative comparison is
+/// then skipped (the outcome is `Skipped` unless a ceiling failed).
+/// Metrics present in only one envelope are ignored — adding a metric
+/// must not invalidate old baselines.
 pub fn gate(baseline: &Value, candidate: &Value, tolerance: f64) -> Result<GateOutcome, String> {
     let b_schema = baseline
         .get("schema")
@@ -231,18 +234,37 @@ pub fn gate(baseline: &Value, candidate: &Value, tolerance: f64) -> Result<GateO
             "baseline schema_version {b_version:?} != supported {SCHEMA_VERSION}"
         ));
     }
-    match (cores_of(baseline), cores_of(candidate)) {
-        (Some(b), Some(c)) if b != c => {
-            return Ok(GateOutcome::Skipped(format!(
-                "baseline measured on {b} core(s), this machine has {c} — not comparable"
-            )));
-        }
-        _ => {}
-    }
     let base = metrics_of(baseline)?;
     let cand = metrics_of(candidate)?;
+    // Budget ceilings gate on the candidate alone: the cap is fixed,
+    // so a slowly-regressing baseline can never launder an overage,
+    // and a core-count mismatch cannot skip it.
     let mut compared = 0usize;
     let mut regressions = Vec::new();
+    for (name, c) in &cand {
+        let Some(cap) = ceiling(name) else { continue };
+        compared += 1;
+        if *c > cap {
+            regressions.push(Regression {
+                name: name.clone(),
+                baseline: cap,
+                candidate: *c,
+                worse_by: (c - cap) / cap,
+            });
+        }
+    }
+    if let (Some(b), Some(c)) = (cores_of(baseline), cores_of(candidate)) {
+        if b != c {
+            return Ok(if regressions.is_empty() {
+                GateOutcome::Skipped(format!(
+                    "baseline measured on {b} core(s), this machine has {c} — not comparable \
+                     ({compared} ceiling(s) checked and within budget)"
+                ))
+            } else {
+                GateOutcome::Fail(regressions)
+            });
+        }
+    }
     for (name, b) in &base {
         let Some(dir) = direction(name) else { continue };
         let Some((_, c)) = cand.iter().find(|(k, _)| k == name) else {
@@ -265,20 +287,6 @@ pub fn gate(baseline: &Value, candidate: &Value, tolerance: f64) -> Result<GateO
                 baseline: *b,
                 candidate: *c,
                 worse_by,
-            });
-        }
-    }
-    // Budget ceilings gate on the candidate alone: the cap is fixed,
-    // so a slowly-regressing baseline can never launder an overage.
-    for (name, c) in &cand {
-        let Some(cap) = ceiling(name) else { continue };
-        compared += 1;
-        if *c > cap {
-            regressions.push(Regression {
-                name: name.clone(),
-                baseline: cap,
-                candidate: *c,
-                worse_by: (c - cap) / cap,
             });
         }
     }
@@ -461,22 +469,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn core_count_mismatch_skips_instead_of_failing() {
-        let mut base = env(&[("sequential_s", 1.0)]);
-        // Rewrite the baseline's core count to something impossible.
-        if let Value::Obj(pairs) = &mut base {
+    fn on_cores(mut v: Value, cores: f64) -> Value {
+        if let Value::Obj(pairs) = &mut v {
             for (k, v) in pairs.iter_mut() {
                 if k == "machine" {
-                    *v = Value::Obj(vec![("cores".to_owned(), Value::num(9999.0))]);
+                    *v = Value::Obj(vec![("cores".to_owned(), Value::num(cores))]);
                 }
             }
         }
-        let cand = env(&[("sequential_s", 100.0)]);
-        assert!(matches!(
-            gate(&base, &cand, 0.4).expect("gates"),
-            GateOutcome::Skipped(_)
-        ));
+        v
+    }
+
+    #[test]
+    fn core_count_mismatch_skips_instead_of_failing() {
+        // A baseline core count no machine has.
+        let base = on_cores(env(&[("sequential_s", 1.0)]), 9999.0);
+        let cand = env(&[("sequential_s", 100.0), ("obs_overhead_frac", 0.01)]);
+        match gate(&base, &cand, 0.4).expect("gates") {
+            GateOutcome::Skipped(why) => assert!(why.contains("1 ceiling(s) checked"), "{why}"),
+            other => panic!("expected skip, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn over_ceiling_fails_even_when_core_counts_differ() {
+        let base = on_cores(env(&[("sequential_s", 1.0)]), 9999.0);
+        for (name, value) in [("obs_overhead_frac", 0.03), ("stress_rss_ratio", 1.4)] {
+            let cand = env(&[("sequential_s", 100.0), (name, value)]);
+            match gate(&base, &cand, 0.4).expect("gates") {
+                GateOutcome::Fail(regs) => {
+                    assert_eq!(regs.len(), 1, "only the ceiling gates: {regs:?}");
+                    assert_eq!(regs[0].name, name);
+                }
+                other => panic!("{name}: expected fail, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -516,13 +516,15 @@ impl RunSession {
             // Under chaos the dictionary is poisoned once, up front, on
             // the main thread — every shard then tags through the same
             // degraded classifier, exactly as a monolithic run would.
+            let poisoned;
             let (classifier, dict_dropped) = match config.active_chaos() {
                 Some(plan) => {
                     let (dict, dropped) = poison_dictionary(&plan, self.classifier.dictionary());
                     obs.add("chaos.dict.dropped", dropped);
-                    (Classifier::new(dict), Some(dropped))
+                    poisoned = Classifier::new(dict);
+                    (&poisoned, Some(dropped))
                 }
-                None => (self.classifier.clone(), None),
+                None => (&self.classifier, None),
             };
 
             // Stages I–III, shard at a time: the coarse map keeps at
@@ -541,7 +543,7 @@ impl RunSession {
                     let keys = shard_keys(&keys, spec);
                     let yielded = run_shard(
                         config,
-                        &classifier,
+                        classifier,
                         dict_dropped,
                         &generator,
                         spec,
@@ -747,13 +749,15 @@ impl RunSession {
         let store = self.open_store(total_shards);
         let prov = trace.provenance();
         let keys = self.stage_keys(prov.is_enabled());
+        let poisoned;
         let (classifier, dict_dropped) = match config.active_chaos() {
             Some(plan) => {
                 let (dict, dropped) = poison_dictionary(&plan, self.classifier.dictionary());
                 obs.add("chaos.dict.dropped", dropped);
-                (Classifier::new(dict), Some(dropped))
+                poisoned = Classifier::new(dict);
+                (&poisoned, Some(dropped))
             }
-            None => (self.classifier.clone(), None),
+            None => (&self.classifier, None),
         };
         let inner_jobs = if specs.len() <= 1 { config.jobs } else { 1 };
         let results = par::par_map_coarse_catch_timed(
@@ -765,7 +769,7 @@ impl RunSession {
                 let keys = shard_keys(&keys, spec);
                 let yielded = run_shard(
                     config,
-                    &classifier,
+                    classifier,
                     dict_dropped,
                     &generator,
                     spec,
@@ -1244,7 +1248,7 @@ fn run_shard(
             if let Some(dropped) = dict_dropped {
                 span.field("dict_dropped", dropped);
             }
-            let tagged = tag_records_traced(
+            let assignments = tag_records_traced(
                 classifier,
                 &normalize.disengagements,
                 &normalize.record_ids,
@@ -1253,8 +1257,8 @@ fn run_shard(
                 sprov,
                 trace.timeline(),
             );
-            span.field("tagged", tagged.len() as u64);
-            tagged.into_iter().map(|t| t.assignment).collect::<Vec<_>>()
+            span.field("tagged", assignments.len() as u64);
+            assignments
         },
     );
     throughput[3] = StageSample {

@@ -1,7 +1,7 @@
 //! Stage III application: tagging normalized records and aggregating the
 //! results.
 
-use disengage_nlp::{Classifier, FailureCategory, FaultTag, TagAssignment};
+use disengage_nlp::{Classifier, FailureCategory, FaultTag, TagAssignment, TagVote};
 use disengage_reports::{DisengagementRecord, Manufacturer};
 use std::collections::BTreeMap;
 
@@ -14,140 +14,22 @@ pub struct TaggedDisengagement {
     pub assignment: TagAssignment,
 }
 
-/// Tags every record with the given classifier.
-pub fn tag_records(
-    classifier: &Classifier,
-    records: &[DisengagementRecord],
-) -> Vec<TaggedDisengagement> {
-    records
-        .iter()
-        .map(|r| TaggedDisengagement {
-            record: r.clone(),
-            assignment: classifier.classify(&r.description),
-        })
-        .collect()
-}
-
-/// Tags one record, recording its Stage III telemetry into `obs`:
-/// per-tag verdict counter (`nlp.tag.<tag>`), Unknown-T and
-/// ambiguous-tie counts, vote-margin and dictionary-hit samples. The
-/// per-record body of [`tag_records_with`]; parallel callers hand each
-/// task its own collector shard.
-pub fn tag_record_with(
-    classifier: &Classifier,
-    record: &DisengagementRecord,
-    obs: &disengage_obs::Collector,
-) -> TaggedDisengagement {
-    tag_record_traced(
-        classifier,
-        record,
-        obs,
-        &disengage_obs::ProvenanceLog::disabled(),
-        None,
-    )
-}
-
-/// [`tag_record_with`] plus per-record provenance: when `prov` is
-/// enabled and the record carries an id, the full ballot lands in the
-/// log — one `DictVote` event per scoring tag (tag, category, score,
-/// matched keywords) followed by the `Tagged` verdict with its margin
-/// and ambiguity flag. Telemetry is identical to the untraced path; the
-/// record is classified exactly once either way.
-pub fn tag_record_traced(
-    classifier: &Classifier,
-    record: &DisengagementRecord,
-    obs: &disengage_obs::Collector,
-    prov: &disengage_obs::ProvenanceLog,
-    id: Option<&disengage_obs::RecordId>,
-) -> TaggedDisengagement {
-    let (assignment, votes) = classifier.classify_detailed(&record.description);
-    let t = TaggedDisengagement {
-        record: record.clone(),
-        assignment,
-    };
-    if prov.is_enabled() {
-        if let Some(id) = id {
-            let subject = disengage_obs::Subject::Record(id.clone());
-            for v in &votes {
-                prov.push(
-                    subject.clone(),
-                    disengage_obs::ProvenanceEvent::DictVote {
-                        tag: v.tag.name().to_owned(),
-                        category: v.tag.category().name().to_owned(),
-                        score: v.score,
-                        keywords: v.matched_keywords.clone(),
-                    },
-                );
-            }
-            prov.push(
-                subject,
-                disengage_obs::ProvenanceEvent::Tagged {
-                    tag: t.assignment.tag.name().to_owned(),
-                    category: t.assignment.category.name().to_owned(),
-                    score: t.assignment.score,
-                    margin: t.assignment.margin,
-                    ambiguous: t.assignment.ambiguous,
-                },
-            );
-        }
-    }
-    obs.incr("nlp.tagged");
-    obs.incr(&format!(
-        "nlp.tag.{}",
-        disengage_obs::key_segment(t.assignment.tag.name())
-    ));
-    if t.assignment.tag == FaultTag::UnknownT {
-        obs.incr("nlp.unknown_t");
-    }
-    if t.assignment.ambiguous {
-        obs.incr("nlp.ambiguous");
-    }
-    obs.record("nlp.vote_margin", t.assignment.margin);
-    obs.record(
-        "nlp.dictionary_hits",
-        t.assignment.matched_keywords.len() as f64,
-    );
-    t
-}
-
-/// [`tag_records`], recording Stage III telemetry into `obs` (see
-/// [`tag_record_with`]) plus the overall Unknown-T rate gauge.
-pub fn tag_records_with(
-    classifier: &Classifier,
-    records: &[DisengagementRecord],
-    obs: &disengage_obs::Collector,
-) -> Vec<TaggedDisengagement> {
-    tag_records_par_with(classifier, records, 1, obs)
-}
-
-/// [`tag_records_with`] across a `jobs`-wide worker pool (0 = all
-/// available cores). Each record classifies into its own collector
-/// shard; shards are absorbed into `obs` in record order, so the
-/// output — records, verdicts, and telemetry alike — is byte-identical
-/// to the sequential run at any worker count.
-pub fn tag_records_par_with(
-    classifier: &Classifier,
-    records: &[DisengagementRecord],
-    jobs: usize,
-    obs: &disengage_obs::Collector,
-) -> Vec<TaggedDisengagement> {
-    tag_records_traced(
-        classifier,
-        records,
-        &[],
-        jobs,
-        obs,
-        &disengage_obs::ProvenanceLog::disabled(),
-        &disengage_par::TaskTimeline::disabled(),
-    )
-}
-
-/// [`tag_records_par_with`] plus lineage and execution tracing: each
-/// record's ballot is logged against `ids[i]` (see
-/// [`tag_record_traced`]; records past the end of `ids` trace nothing),
-/// and every pool task lands on `timeline` under the `stage_iii_tag`
-/// label. Provenance shards absorb in record order, so the merged log —
-/// like the telemetry — is byte-identical at any worker count.
+/// Stage III: tags every record, in record order, across a
+/// `jobs`-wide worker pool (0 = all available cores).
+///
+/// Telemetry is folded into `obs` once per call, exactly as if each
+/// record had recorded into its own collector shard absorbed in record
+/// order: `nlp.tagged`, one `nlp.tag.<tag>` counter per tag that won a
+/// record, `nlp.unknown_t` and `nlp.ambiguous` (each only once
+/// incremented), the `nlp.vote_margin` and `nlp.dictionary_hits`
+/// samples in record order, and the `nlp.unknown_t_rate` gauge.
+///
+/// With `prov` enabled, each record's ballot is logged against
+/// `ids[i]` (records past the end of `ids` trace nothing): one
+/// `DictVote` event per scoring tag, then the `Tagged` verdict. Every
+/// pool task lands on `timeline` under the `stage_iii_tag` label. The
+/// verdicts, telemetry and lineage are byte-identical at any worker
+/// count.
 pub fn tag_records_traced(
     classifier: &Classifier,
     records: &[DisengagementRecord],
@@ -156,35 +38,104 @@ pub fn tag_records_traced(
     obs: &disengage_obs::Collector,
     prov: &disengage_obs::ProvenanceLog,
     timeline: &disengage_par::TaskTimeline,
-) -> Vec<TaggedDisengagement> {
-    let per_record = disengage_par::par_map_indexed_timed(
+) -> Vec<TagAssignment> {
+    let lineage = prov.is_enabled();
+    let verdicts = disengage_par::par_map_indexed_timed(
         jobs,
         records,
-        |i, r| {
-            let shard = obs.shard();
-            let pshard = prov.shard();
-            let t = tag_record_traced(classifier, r, &shard, &pshard, ids.get(i));
-            (t, shard, pshard)
+        |_, r| {
+            if lineage {
+                classifier.classify_detailed(&r.description)
+            } else {
+                (classifier.classify(&r.description), Vec::new())
+            }
         },
         timeline,
         "stage_iii_tag",
     );
-    let tagged: Vec<TaggedDisengagement> = per_record
+    let assignments: Vec<TagAssignment> = verdicts
         .into_iter()
-        .map(|(t, shard, pshard)| {
-            obs.absorb(shard);
-            prov.absorb(pshard);
-            t
+        .enumerate()
+        .map(|(i, (assignment, votes))| {
+            if let Some(id) = ids.get(i).filter(|_| lineage) {
+                record_ballot(prov, id, &assignment, votes);
+            }
+            assignment
         })
         .collect();
-    if !tagged.is_empty() {
-        let unknown = tagged
-            .iter()
-            .filter(|t| t.assignment.tag == FaultTag::UnknownT)
-            .count();
-        obs.gauge("nlp.unknown_t_rate", unknown as f64 / tagged.len() as f64);
+    fold_telemetry(&assignments, obs);
+    assignments
+}
+
+/// Logs one record's ballot and verdict.
+fn record_ballot(
+    prov: &disengage_obs::ProvenanceLog,
+    id: &disengage_obs::RecordId,
+    assignment: &TagAssignment,
+    votes: Vec<TagVote>,
+) {
+    let subject = disengage_obs::Subject::Record(id.clone());
+    for v in votes {
+        prov.push(
+            subject.clone(),
+            disengage_obs::ProvenanceEvent::DictVote {
+                tag: v.tag.name().to_owned(),
+                category: v.tag.category().name().to_owned(),
+                score: v.score,
+                keywords: v.matched_keywords,
+            },
+        );
     }
-    tagged
+    prov.push(
+        subject,
+        disengage_obs::ProvenanceEvent::Tagged {
+            tag: assignment.tag.name().to_owned(),
+            category: assignment.category.name().to_owned(),
+            score: assignment.score,
+            margin: assignment.margin,
+            ambiguous: assignment.ambiguous,
+        },
+    );
+}
+
+/// The Stage III telemetry of `assignments`, folded into `obs` in one
+/// pass (see [`tag_records_traced`]).
+fn fold_telemetry(assignments: &[TagAssignment], obs: &disengage_obs::Collector) {
+    if assignments.is_empty() {
+        return;
+    }
+    let mut per_tag = [0u64; FaultTag::ALL.len()];
+    let mut ambiguous = 0u64;
+    for a in assignments {
+        per_tag[a.tag.index()] += 1;
+        ambiguous += u64::from(a.ambiguous);
+    }
+    obs.add("nlp.tagged", assignments.len() as u64);
+    for tag in FaultTag::ALL {
+        let n = per_tag[tag.index()];
+        if n > 0 {
+            obs.add(
+                &format!("nlp.tag.{}", disengage_obs::key_segment(tag.name())),
+                n,
+            );
+        }
+    }
+    let unknown = per_tag[FaultTag::UnknownT.index()];
+    if unknown > 0 {
+        obs.add("nlp.unknown_t", unknown);
+    }
+    if ambiguous > 0 {
+        obs.add("nlp.ambiguous", ambiguous);
+    }
+    obs.record_all("nlp.vote_margin", assignments.iter().map(|a| a.margin));
+    obs.record_all(
+        "nlp.dictionary_hits",
+        assignments.iter().map(|a| a.matched_keywords.len() as f64),
+    );
+    obs.gauge(
+        "nlp.unknown_t_rate",
+        unknown as f64 / assignments.len() as f64,
+    );
 }
 
 /// Per-manufacturer tag counts (Fig. 6's ingredients).
@@ -339,15 +290,26 @@ mod tests {
 
     fn tagged_fixture() -> Vec<TaggedDisengagement> {
         let cl = Classifier::with_default_dictionary();
-        tag_records(
+        let records = [
+            record(Manufacturer::Waymo, "perception missed the pedestrian"),
+            record(Manufacturer::Waymo, "watchdog error"),
+            record(Manufacturer::Nissan, "planner failed to anticipate the cyclist"),
+            record(Manufacturer::Tesla, "event logged during routine operation"),
+        ];
+        let assignments = tag_records_traced(
             &cl,
-            &[
-                record(Manufacturer::Waymo, "perception missed the pedestrian"),
-                record(Manufacturer::Waymo, "watchdog error"),
-                record(Manufacturer::Nissan, "planner failed to anticipate the cyclist"),
-                record(Manufacturer::Tesla, "event logged during routine operation"),
-            ],
-        )
+            &records,
+            &[],
+            1,
+            &disengage_obs::Collector::new(),
+            &disengage_obs::ProvenanceLog::disabled(),
+            &disengage_par::TaskTimeline::disabled(),
+        );
+        records
+            .into_iter()
+            .zip(assignments)
+            .map(|(record, assignment)| TaggedDisengagement { record, assignment })
+            .collect()
     }
 
     #[test]

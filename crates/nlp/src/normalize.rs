@@ -48,9 +48,21 @@ pub fn remove_stop_words(tokens: &[String]) -> Vec<String> {
 /// assert_eq!(stem("car"), "car");
 /// ```
 pub fn stem(token: &str) -> String {
-    let t = token;
-    if t.len() <= 4 {
-        return t.to_owned();
+    stem_str(token).to_owned()
+}
+
+/// [`stem`] without the allocation: the stem as a prefix of `token`.
+///
+/// # Examples
+///
+/// ```
+/// # use disengage_nlp::normalize::stem_str;
+/// assert_eq!(stem_str("predictions"), "predict");
+/// assert_eq!(stem_str("using"), "using");
+/// ```
+pub fn stem_str(token: &str) -> &str {
+    if token.len() <= 4 {
+        return token;
     }
     // Ordered longest-suffix-first.
     const SUFFIXES: &[&str] = &[
@@ -58,13 +70,13 @@ pub fn stem(token: &str) -> String {
         "edly", "ings", "ing", "ions", "ion", "ies", "ers", "er", "ed", "es", "s", "ly",
     ];
     for suf in SUFFIXES {
-        if let Some(stripped) = t.strip_suffix(suf) {
+        if let Some(stripped) = token.strip_suffix(suf) {
             if stripped.len() >= 3 {
-                return stripped.to_owned();
+                return stripped;
             }
         }
     }
-    t.to_owned()
+    token
 }
 
 /// Full normalization: stop-word removal then stemming.

@@ -148,6 +148,11 @@ impl FaultTag {
         }
     }
 
+    /// Position in [`FaultTag::ALL`] — a dense index for per-tag arrays.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Display name matching Fig. 6's legend.
     pub fn name(self) -> &'static str {
         match self {
@@ -247,5 +252,12 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), FaultTag::ALL.len());
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, tag) in FaultTag::ALL.into_iter().enumerate() {
+            assert_eq!(tag.index(), i);
+        }
     }
 }

@@ -6,10 +6,12 @@
 //! `Unknown-T`, exactly as the paper describes.
 
 use crate::dictionary::FailureDictionary;
-use crate::normalize::{normalize, stem};
+use crate::normalize::{is_stop_word, stem_str};
 use crate::ontology::{FailureCategory, FaultTag};
-use crate::token::tokenize;
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+pub mod spec;
 
 /// The classifier's verdict for one description.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,30 +47,104 @@ pub struct TagVote {
 }
 
 /// Keyword-voting classifier over a [`FailureDictionary`].
+///
+/// Construction compiles the dictionary once: every stemmed keyword and
+/// phrase token is interned as a `u32` id, each id carries its postings
+/// (the keywords it is, across tags) and the phrases it opens. A
+/// description is then tagged in one pass over its bytes — tokenize,
+/// stem and look up each word into a reused id buffer, collect keyword
+/// hits for non-stop words, verify candidate phrases against the ids
+/// that follow — with no per-token allocation. [`spec::SpecClassifier`]
+/// is the string-set reading of the same rule, kept as the reference.
 #[derive(Debug, Clone)]
 pub struct Classifier {
     dictionary: FailureDictionary,
-    keyword_sets: Vec<(FaultTag, BTreeSet<String>)>,
-    phrase_sets: Vec<(FaultTag, Vec<Vec<String>>)>,
+    /// Stemmed token → interned id.
+    vocab: HashMap<Box<str>, u32>,
+    /// Per id: the keywords it matches and the phrases it opens.
+    entries: Vec<TokenEntry>,
+    /// Every tag's keywords, grouped by tag in [`FaultTag::ALL`] order
+    /// and byte-lexicographic within a tag — so ascending keyword
+    /// indices are exactly the spec's `BTreeSet` iteration order.
+    keywords: Vec<(FaultTag, String)>,
+    /// Every multi-token phrase (`tag`, its token ids).
+    phrases: Vec<(FaultTag, Box<[u32]>)>,
+}
+
+/// What one interned token id contributes to the vote.
+#[derive(Debug, Clone, Default)]
+struct TokenEntry {
+    /// Indices into [`Classifier::keywords`].
+    keywords: Vec<u32>,
+    /// Indices into [`Classifier::phrases`] whose first token is this id.
+    phrases: Vec<u32>,
+}
+
+/// Id of a description token that is not in the dictionary vocabulary.
+const UNKNOWN_TOKEN: u32 = u32::MAX;
+
+/// Per-thread buffers reused across descriptions.
+#[derive(Default)]
+struct Scratch {
+    /// Lowercased copy of a token that had uppercase letters.
+    lower: String,
+    /// Token ids of the description, in order.
+    ids: Vec<u32>,
+    /// Keyword indices hit (sorted and deduplicated before scoring).
+    keyword_hits: Vec<u32>,
+    /// Phrase indices matched (sorted and deduplicated before scoring).
+    phrase_hits: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 impl Classifier {
-    /// Builds a classifier from a dictionary.
+    /// Builds a classifier from a dictionary, compiling it into interned
+    /// token tables.
     pub fn new(dictionary: FailureDictionary) -> Classifier {
-        let keyword_sets = FaultTag::ALL
-            .iter()
-            .filter(|&&t| t != FaultTag::UnknownT)
-            .map(|&t| (t, dictionary.keyword_set(t)))
-            .collect();
-        let phrase_sets = FaultTag::ALL
-            .iter()
-            .filter(|&&t| t != FaultTag::UnknownT)
-            .map(|&t| (t, dictionary.phrase_tokens(t)))
-            .collect();
+        let mut vocab: HashMap<Box<str>, u32> = HashMap::new();
+        let mut entries: Vec<TokenEntry> = Vec::new();
+        let mut intern = |token: &str| -> u32 {
+            if let Some(&id) = vocab.get(token) {
+                return id;
+            }
+            let id = entries.len() as u32;
+            vocab.insert(token.into(), id);
+            entries.push(TokenEntry::default());
+            id
+        };
+        let mut keywords = Vec::new();
+        let mut keyword_ids = Vec::new();
+        let mut phrases = Vec::new();
+        for tag in FaultTag::ALL {
+            if tag == FaultTag::UnknownT {
+                continue;
+            }
+            for keyword in dictionary.keyword_set(tag) {
+                keyword_ids.push(intern(&keyword));
+                keywords.push((tag, keyword));
+            }
+            for phrase in dictionary.phrase_tokens(tag) {
+                if phrase.len() >= 2 {
+                    let ids: Box<[u32]> = phrase.iter().map(|t| intern(t)).collect();
+                    phrases.push((tag, ids));
+                }
+            }
+        }
+        for (k, &id) in keyword_ids.iter().enumerate() {
+            entries[id as usize].keywords.push(k as u32);
+        }
+        for (p, (_, ids)) in phrases.iter().enumerate() {
+            entries[ids[0] as usize].phrases.push(p as u32);
+        }
         Classifier {
             dictionary,
-            keyword_sets,
-            phrase_sets,
+            vocab,
+            entries,
+            keywords,
+            phrases,
         }
     }
 
@@ -94,7 +170,7 @@ impl Classifier {
     /// assert_eq!(c.classify("odd noise").tag, FaultTag::UnknownT);
     /// ```
     pub fn classify(&self, description: &str) -> TagAssignment {
-        self.classify_detailed(description).0
+        self.vote(description, false).0
     }
 
     /// [`Classifier::classify`], also returning every scoring tag's
@@ -102,62 +178,160 @@ impl Classifier {
     /// verdict is computed by the same single pass, so the detailed and
     /// plain forms can never disagree.
     pub fn classify_detailed(&self, description: &str) -> (TagAssignment, Vec<TagVote>) {
-        let raw_tokens = tokenize(description);
-        let desc_tokens = normalize(&raw_tokens);
-        let desc_set: BTreeSet<&str> = desc_tokens.iter().map(String::as_str).collect();
-        // Stemmed-but-unstopped sequence for contiguous phrase matching.
-        let stem_seq: Vec<String> = raw_tokens.iter().map(|t| stem(t)).collect();
+        self.vote(description, true)
+    }
 
-        let mut best: Option<(FaultTag, f64, Vec<String>)> = None;
-        let mut second_score = 0.0f64;
-        let mut ambiguous = false;
-        let mut votes = Vec::new();
-        for ((tag, keywords), (_, phrases)) in self.keyword_sets.iter().zip(&self.phrase_sets) {
-            let matched: Vec<String> = keywords
-                .iter()
-                .filter(|k| desc_set.contains(k.as_str()))
-                .cloned()
-                .collect();
-            let mut score = matched.len() as f64;
-            // Contiguous multi-word phrase hits vote double.
-            for phrase in phrases {
-                if phrase.len() >= 2 && contains_subsequence(&stem_seq, phrase) {
-                    score += phrase.len() as f64;
-                }
+    /// Classifies a batch of descriptions.
+    pub fn classify_all<'a, I>(&self, descriptions: I) -> Vec<TagAssignment>
+    where
+        I: IntoIterator<Item = &'a str>,
+    {
+        descriptions.into_iter().map(|d| self.classify(d)).collect()
+    }
+
+    /// The vote itself; the ballot is built only when `ballot` is set.
+    fn vote(&self, description: &str, ballot: bool) -> (TagAssignment, Vec<TagVote>) {
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let (keyword_hits, phrase_hits) = self.hits(description, scratch);
+            self.decide(keyword_hits, phrase_hits, ballot)
+        })
+    }
+
+    /// Tokenizes `description` (maximal ASCII-alphanumeric runs,
+    /// lowercased — [`crate::token::tokenize`]'s rule), stems and looks
+    /// up each token, and returns the sorted, distinct keyword and
+    /// phrase indices it hits.
+    fn hits<'s>(&self, description: &str, scratch: &'s mut Scratch) -> (&'s [u32], &'s [u32]) {
+        let Scratch {
+            lower,
+            ids,
+            keyword_hits,
+            phrase_hits,
+        } = scratch;
+        ids.clear();
+        keyword_hits.clear();
+        phrase_hits.clear();
+        let bytes = description.as_bytes();
+        let mut end = 0;
+        while end < bytes.len() {
+            let start = end;
+            while end < bytes.len() && bytes[end].is_ascii_alphanumeric() {
+                end += 1;
             }
-            if score <= 0.0 {
+            if start == end {
+                end += 1;
                 continue;
             }
-            votes.push(TagVote {
-                tag: *tag,
-                score,
-                matched_keywords: matched.clone(),
-            });
-            match &best {
-                Some((_, best_score, _)) if score < *best_score => {
+            // ASCII bytes only, so these are char boundaries.
+            let mut token = &description[start..end];
+            if token.bytes().any(|b| b.is_ascii_uppercase()) {
+                lower.clear();
+                lower.push_str(token);
+                lower.make_ascii_lowercase();
+                token = lower.as_str();
+            }
+            let id = self
+                .vocab
+                .get(stem_str(token))
+                .copied()
+                .unwrap_or(UNKNOWN_TOKEN);
+            ids.push(id);
+            if id != UNKNOWN_TOKEN {
+                let postings = &self.entries[id as usize].keywords;
+                if !postings.is_empty() && !is_stop_word(token) {
+                    keyword_hits.extend_from_slice(postings);
+                }
+            }
+        }
+        // Contiguous phrase matches: each candidate opened by a token is
+        // verified against the ids that follow it.
+        for (i, &id) in ids.iter().enumerate() {
+            if id == UNKNOWN_TOKEN {
+                continue;
+            }
+            for &p in &self.entries[id as usize].phrases {
+                if ids[i + 1..].starts_with(&self.phrases[p as usize].1[1..]) {
+                    phrase_hits.push(p);
+                }
+            }
+        }
+        keyword_hits.sort_unstable();
+        keyword_hits.dedup();
+        phrase_hits.sort_unstable();
+        phrase_hits.dedup();
+        (keyword_hits, phrase_hits)
+    }
+
+    /// Scores every tag from its distinct keyword hits plus its matched
+    /// phrases' lengths and picks the verdict: the first top scorer in
+    /// [`FaultTag::ALL`] order, ambiguous when a later tag ties it.
+    /// Scores are integers, so comparing them exactly is the spec's
+    /// epsilon comparison of the same sums as `f64`.
+    fn decide(
+        &self,
+        keyword_hits: &[u32],
+        phrase_hits: &[u32],
+        ballot: bool,
+    ) -> (TagAssignment, Vec<TagVote>) {
+        let mut scores = [0u32; FaultTag::ALL.len()];
+        for &k in keyword_hits {
+            scores[self.keywords[k as usize].0.index()] += 1;
+        }
+        for &p in phrase_hits {
+            let (tag, ids) = &self.phrases[p as usize];
+            scores[tag.index()] += ids.len() as u32;
+        }
+        let matched = |tag: FaultTag| -> Vec<String> {
+            keyword_hits
+                .iter()
+                .map(|&k| &self.keywords[k as usize])
+                .filter(|(t, _)| *t == tag)
+                .map(|(_, keyword)| keyword.clone())
+                .collect()
+        };
+
+        let mut best: Option<(FaultTag, u32)> = None;
+        let mut second_score = 0u32;
+        let mut ambiguous = false;
+        let mut votes = Vec::new();
+        for tag in FaultTag::ALL {
+            let score = scores[tag.index()];
+            if score == 0 {
+                continue;
+            }
+            if ballot {
+                votes.push(TagVote {
+                    tag,
+                    score: f64::from(score),
+                    matched_keywords: matched(tag),
+                });
+            }
+            match best {
+                Some((_, best_score)) if score < best_score => {
                     second_score = second_score.max(score);
                 }
-                Some((_, best_score, _)) if (score - best_score).abs() < f64::EPSILON => {
+                Some((_, best_score)) if score == best_score => {
                     ambiguous = true;
-                    second_score = *best_score;
+                    second_score = best_score;
                 }
                 _ => {
-                    if let Some((_, prev_best, _)) = &best {
-                        second_score = second_score.max(*prev_best);
+                    if let Some((_, prev_best)) = best {
+                        second_score = second_score.max(prev_best);
                     }
                     ambiguous = false;
-                    best = Some((*tag, score, matched));
+                    best = Some((tag, score));
                 }
             }
         }
 
         let assignment = match best {
-            Some((tag, score, matched_keywords)) => TagAssignment {
+            Some((tag, score)) => TagAssignment {
                 tag,
                 category: tag.category(),
-                score,
-                margin: score - second_score,
-                matched_keywords,
+                score: f64::from(score),
+                margin: f64::from(score - second_score),
+                matched_keywords: matched(tag),
                 ambiguous,
             },
             None => TagAssignment {
@@ -170,14 +344,6 @@ impl Classifier {
             },
         };
         (assignment, votes)
-    }
-
-    /// Classifies a batch of descriptions.
-    pub fn classify_all<'a, I>(&self, descriptions: I) -> Vec<TagAssignment>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        descriptions.into_iter().map(|d| self.classify(d)).collect()
     }
 }
 
@@ -206,16 +372,6 @@ mod margin_tests {
             }
         }
     }
-}
-
-/// Whether `needle` appears as a contiguous subsequence of `haystack`.
-fn contains_subsequence(haystack: &[String], needle: &[String]) -> bool {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return false;
-    }
-    haystack
-        .windows(needle.len())
-        .any(|w| w.iter().zip(needle).all(|(a, b)| a == b))
 }
 
 #[cfg(test)]
@@ -346,16 +502,6 @@ mod tests {
         let (unknown, no_votes) = cl.classify_detailed("odd noise");
         assert_eq!(unknown.tag, FaultTag::UnknownT);
         assert!(no_votes.is_empty());
-    }
-
-    #[test]
-    fn subsequence_helper() {
-        let hay: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
-        let yes: Vec<String> = ["b", "c"].iter().map(|s| s.to_string()).collect();
-        let no: Vec<String> = ["b", "d"].iter().map(|s| s.to_string()).collect();
-        assert!(contains_subsequence(&hay, &yes));
-        assert!(!contains_subsequence(&hay, &no));
-        assert!(!contains_subsequence(&hay, &[]));
     }
 
     #[test]

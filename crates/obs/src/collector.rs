@@ -253,6 +253,21 @@ impl Collector {
             .record(sample);
     }
 
+    /// Records samples into one histogram in order — [`Collector::record`]
+    /// for each, under one lock and one key lookup. No samples, no
+    /// histogram.
+    pub fn record_all(&self, name: &str, samples: impl IntoIterator<Item = f64>) {
+        let mut samples = samples.into_iter().peekable();
+        if samples.peek().is_none() {
+            return;
+        }
+        let mut inner = self.lock();
+        let hist = inner.histograms.entry(name.to_owned()).or_default();
+        for sample in samples {
+            hist.record(sample);
+        }
+    }
+
     /// Records an info-level log event (echoed to stderr when the
     /// collector was built with [`Collector::with_echo`] and the
     /// `DISENGAGE_LOG` filter — `off|warn|info|debug`, default `info`
@@ -616,6 +631,22 @@ mod tests {
         let names: Vec<&str> = outer.children.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["inner", "sibling"]);
         assert!(outer.children.iter().all(|s| s.closed));
+    }
+
+    #[test]
+    fn record_all_equals_recording_each_sample() {
+        let samples = [0.1, 2.5, 0.3, 7.0];
+        let each = Collector::new();
+        let batch = Collector::new();
+        for c in [&each, &batch] {
+            c.record("h", 1.75);
+        }
+        for &x in &samples {
+            each.record("h", x);
+        }
+        batch.record_all("h", samples);
+        batch.record_all("empty", []);
+        assert_eq!(each.state(), batch.state());
     }
 
     #[test]

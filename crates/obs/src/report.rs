@@ -212,6 +212,26 @@ impl TelemetryReport {
         }
         walk(&self.spans, name)
     }
+
+    /// Total duration of every span named `name` anywhere in the forest
+    /// — a stage's time summed over all the shards that ran it, where
+    /// [`TelemetryReport::find_span`] sees only the first. A matched
+    /// span's own subtree is not searched again, so a span nested in a
+    /// namesake is never counted twice. `None` when no span matches.
+    pub fn span_total_s(&self, name: &str) -> Option<f64> {
+        fn walk(nodes: &[SpanNode], name: &str, total: &mut Option<f64>) {
+            for n in nodes {
+                if n.name == name {
+                    *total = Some(total.unwrap_or(0.0) + n.duration_s);
+                } else {
+                    walk(&n.children, name, total);
+                }
+            }
+        }
+        let mut total = None;
+        walk(&self.spans, name, &mut total);
+        total
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +275,29 @@ mod tests {
         };
         assert!(r.find_span("stage_ii_parse").is_some());
         assert!(r.find_span("missing").is_none());
+    }
+
+    #[test]
+    fn span_total_sums_every_shard() {
+        let shard = |tag_s: f64| {
+            let mut shard = leaf("shard");
+            let mut tag = leaf("stage_iii_tag");
+            tag.duration_s = tag_s;
+            tag.children.push(leaf("stage_iii_tag"));
+            shard.children.push(tag);
+            shard
+        };
+        let mut root = leaf("pipeline");
+        root.children.push(shard(0.25));
+        root.children.push(shard(0.5));
+        let r = TelemetryReport {
+            spans: vec![root],
+            ..Default::default()
+        };
+        assert_eq!(r.find_span("stage_iii_tag").map(|s| s.duration_s), Some(0.25));
+        assert_eq!(r.span_total_s("stage_iii_tag"), Some(0.75));
+        assert_eq!(r.span_total_s("pipeline"), Some(0.1));
+        assert_eq!(r.span_total_s("missing"), None);
     }
 
     #[test]
