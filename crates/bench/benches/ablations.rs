@@ -6,9 +6,12 @@
 //! * phrase-bonus voting vs plain keyword counting (dictionary size
 //!   sensitivity via a truncated dictionary),
 //! * the compiled, interned-token classifier vs its string-set
-//!   reference (`nlp::vote::spec`).
+//!   reference (`nlp::vote::spec`),
+//! * the damped-Newton Exponentiated-Weibull fit vs its Nelder–Mead
+//!   reference (`stats::fit::spec`).
 
 use disengage_bench::timing;
+use disengage_core::constants::REACTION_OUTLIER_CUTOFF_S;
 use disengage_core::pipeline::default_corrector;
 use disengage_corpus::{CorpusConfig, CorpusGenerator};
 use disengage_nlp::vote::spec::SpecClassifier;
@@ -16,6 +19,8 @@ use disengage_nlp::{Classifier, FailureDictionary, FaultTag};
 use disengage_ocr::engine::OcrEngine;
 use disengage_ocr::raster::rasterize;
 use disengage_ocr::NoiseModel;
+use disengage_reports::Manufacturer;
+use disengage_stats::fit::{fit_exponentiated_weibull, spec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -89,7 +94,32 @@ fn bench_ocr_ablation() {
     }
 }
 
+fn bench_ew_fit_ablation() {
+    // Fig. 11's Mercedes-Benz sample at full scale (n ≈ 1,330).
+    let truth = CorpusGenerator::new(CorpusConfig {
+        seed: 0x5EED,
+        scale: 1.0,
+    })
+    .generate()
+    .truth;
+    let times: Vec<f64> = truth
+        .reaction_times(Manufacturer::MercedesBenz)
+        .into_iter()
+        .filter(|&t| t > 0.0 && t <= REACTION_OUTLIER_CUTOFF_S)
+        .collect();
+
+    let mut g = timing::group("ew_fit");
+    g.sample_size(20).throughput_elements(times.len() as u64);
+    g.bench("spec", || {
+        spec::fit_exponentiated_weibull(&times).expect("spec fit")
+    });
+    g.bench("newton", || {
+        fit_exponentiated_weibull(&times).expect("newton fit")
+    });
+}
+
 fn main() {
     bench_classifier_ablation();
     bench_ocr_ablation();
+    bench_ew_fit_ablation();
 }

@@ -1,7 +1,7 @@
 //! One bench per paper figure: the cost of computing each figure's data
 //! series (box statistics, regressions, correlations, MLE fits).
 
-use disengage_bench::{bench_outcome, timing};
+use disengage_bench::{bench_outcome, full_scale_outcome, timing};
 use disengage_core::figures;
 use disengage_reports::Manufacturer;
 
@@ -24,6 +24,11 @@ fn main() {
     });
     g.bench("fig11_weibull_fit_waymo", || {
         figures::fig11(&o.database, Manufacturer::Waymo).expect("fig11")
+    });
+    // The paper's larger panel, on the full-scale corpus (n ≈ 1,330).
+    let full = full_scale_outcome();
+    g.bench("fig11_weibull_fit_benz", || {
+        figures::fig11(&full.database, Manufacturer::MercedesBenz).expect("fig11")
     });
     g.bench("fig12_speed_fits", || {
         for kind in [

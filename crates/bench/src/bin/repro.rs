@@ -577,7 +577,8 @@ fn main() -> ExitCode {
     let snapshot = obs.report();
 
     // Perf-baseline envelope: per-stage wall summed over every shard,
-    // end-to-end throughput, and (with a cache armed) the hit rate.
+    // Stage IV's total, end-to-end throughput, and (with a cache armed)
+    // the hit rate.
     if let Some(path) = &bench_out {
         let mut metrics: Vec<(String, f64)> =
             vec![("scale".to_owned(), config.corpus.scale)];
@@ -591,6 +592,20 @@ fn main() -> ExitCode {
             if let Some(total) = snapshot.span_total_s(span) {
                 metrics.push((format!("{span}_s"), total));
             }
+        }
+        // Stage IV: every table, figure and question span, summed.
+        let mut stage_iv = std::collections::BTreeSet::new();
+        let mut open: Vec<_> = snapshot.spans.iter().collect();
+        while let Some(node) = open.pop() {
+            if node.name.starts_with("stage_iv_") {
+                stage_iv.insert(node.name.as_str());
+            } else {
+                open.extend(&node.children);
+            }
+        }
+        if !stage_iv.is_empty() {
+            let total = stage_iv.iter().filter_map(|n| snapshot.span_total_s(n)).sum();
+            metrics.push(("stage_iv_s".to_owned(), total));
         }
         if let Some(node) = snapshot.find_span("pipeline") {
             if node.duration_s > 0.0 {

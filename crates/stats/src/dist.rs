@@ -267,7 +267,7 @@ impl Continuous for ExponentiatedWeibull {
         }
         let z = x / self.scale;
         let zk = z.powf(self.shape);
-        let base = 1.0 - (-zk).exp();
+        let base = -(-zk).exp_m1();
         self.alpha * (self.shape / self.scale) * z.powf(self.shape - 1.0)
             * base.powf(self.alpha - 1.0)
             * (-zk).exp()
@@ -278,7 +278,7 @@ impl Continuous for ExponentiatedWeibull {
             0.0
         } else {
             let z = (x / self.scale).powf(self.shape);
-            (1.0 - (-z).exp()).powf(self.alpha)
+            (-(-z).exp_m1()).powf(self.alpha)
         }
     }
 
@@ -306,12 +306,18 @@ impl Continuous for ExponentiatedWeibull {
         }
         let z = x / self.scale;
         let zk = z.powf(self.shape);
-        let base = 1.0 - (-zk).exp();
-        if base <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
+        // `1 − e^{−zk}` via expm1: the subtraction rounds to 0 once
+        // zk < ~1e-16 (steep shapes left of the scale), turning a finite
+        // density into −∞. Past underflow, ln(1 − e^{−zk}) = k·ln z to
+        // double precision.
+        let base = -(-zk).exp_m1();
+        let ln_base = if base >= f64::MIN_POSITIVE {
+            base.ln()
+        } else {
+            self.shape * z.ln()
+        };
         self.alpha.ln() + (self.shape / self.scale).ln() + (self.shape - 1.0) * z.ln()
-            + (self.alpha - 1.0) * base.ln()
+            + (self.alpha - 1.0) * ln_base
             - zk
     }
 }
@@ -482,6 +488,25 @@ mod tests {
     fn exp_weibull_pdf_integrates() {
         let ew = ExponentiatedWeibull::new(2.0, 1.0, 0.5).unwrap();
         check_pdf_integrates_cdf(&ew, 0.0, 8.0, 1e-3);
+    }
+
+    #[test]
+    fn exp_weibull_ln_pdf_finite_for_steep_shape() {
+        // k = 900, x/λ = 0.9: z = 0.9^900 ≈ 6.6e-42, so 1 − e^{−z}
+        // rounds to exactly 0 while the density is finite.
+        let (k, l, a) = (900.0_f64, 2.0_f64, 0.3_f64);
+        let ew = ExponentiatedWeibull::new(k, l, a).unwrap();
+        let x = 0.9 * l;
+        let z = (x / l).powf(k);
+        let closed = a.ln() + k.ln() - l.ln() + (k - 1.0) * (x / l).ln() - z
+            + (a - 1.0) * (-(-z).exp_m1()).ln();
+        let got = ew.ln_pdf(x);
+        assert!(got.is_finite(), "ln_pdf = {got}");
+        assert!(
+            ((got - closed) / closed).abs() < 1e-12,
+            "ln_pdf = {got}, closed form = {closed}"
+        );
+        assert!(ew.pdf(x) > 0.0 && ew.cdf(x) > 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Derivative-free optimization used by maximum-likelihood fitting.
 //!
-//! Provides a Nelder–Mead downhill simplex minimizer (for the
-//! three-parameter Exponentiated Weibull fit of Fig. 11) and a
+//! Provides a Nelder–Mead downhill simplex minimizer (behind the
+//! reference Exponentiated Weibull fit, `fit::spec`) and a
 //! bracketing/bisection root finder (for the Weibull profile-likelihood
 //! shape equation).
 
