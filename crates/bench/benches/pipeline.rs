@@ -1,5 +1,6 @@
 //! Stage-by-stage pipeline throughput: corpus generation, document
-//! rendering + normalization, OCR digitization, and NLP tagging.
+//! rendering + normalization, OCR digitization, and NLP tagging, plus
+//! the two halves of the Stage I–II text path on the largest shard.
 
 use disengage_bench::timing;
 use disengage_core::tagging::tag_records_traced;
@@ -9,7 +10,8 @@ use disengage_nlp::Classifier;
 use disengage_ocr::engine::OcrEngine;
 use disengage_ocr::raster::rasterize;
 use disengage_ocr::NoiseModel;
-use disengage_reports::normalize::normalize_all;
+use disengage_obs::{Collector, ProvenanceLog};
+use disengage_reports::normalize::{normalize_all, normalize_document_traced};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,6 +47,35 @@ fn main() {
         RunSession::new(RunConfig::new().with_corpus(corpus_cfg))
             .run()
             .expect("pipeline")
+    });
+
+    // The text path on the largest shard (bosch_2016: 1,442 records at
+    // full scale): render the shard's filing, then parse it back, each
+    // with the telemetry a session records.
+    let full = CorpusGenerator::new(CorpusConfig {
+        seed: 0x5EED,
+        scale: 1.0,
+    });
+    let spec = full
+        .shards()
+        .into_iter()
+        .find(|s| s.label() == "bosch_2016")
+        .expect("bosch_2016 shard");
+    let shard = full.generate_shard(&spec);
+    let filing = &shard.documents[0];
+    let mut g = timing::group("text_path");
+    g.sample_size(20)
+        .throughput_elements(shard.truth.disengagements().len() as u64);
+    g.bench("generate_shard", || {
+        full.generate_shard_with(&spec, &Collector::new())
+    });
+    g.bench("normalize_document", || {
+        normalize_document_traced(
+            filing,
+            spec.doc_base,
+            Some(&Collector::new()),
+            &ProvenanceLog::disabled(),
+        )
     });
 
     // OCR throughput on one representative document.

@@ -537,7 +537,7 @@ impl RunSession {
             let results = par::par_map_coarse_catch_timed(
                 config.jobs,
                 &specs,
-                |_, spec| {
+                |i, spec| {
                     let wobs = obs.shard();
                     let wprov = prov.shard();
                     let keys = shard_keys(&keys, spec);
@@ -549,6 +549,7 @@ impl RunSession {
                         spec,
                         &keys,
                         inner_jobs,
+                        i + 1 == specs.len(),
                         &store,
                         &wobs,
                         &wprov,
@@ -652,7 +653,7 @@ impl RunSession {
             {
                 record_throughput(obs, stage, sample.records, sample.bytes, sample.elapsed);
             }
-            record_stage_memory(obs, "merge");
+            record_stage_memory(obs, "merge", true);
 
             let database = FailureDatabase::from_records(disengagements, accidents, mileage);
             let tagged: Vec<TaggedDisengagement> = database
@@ -763,7 +764,7 @@ impl RunSession {
         let results = par::par_map_coarse_catch_timed(
             config.jobs,
             &specs,
-            |_, spec| {
+            |i, spec| {
                 let wobs = obs.shard();
                 let wprov = prov.shard();
                 let keys = shard_keys(&keys, spec);
@@ -775,6 +776,7 @@ impl RunSession {
                     spec,
                     &keys,
                     inner_jobs,
+                    i + 1 == specs.len(),
                     &store,
                     &wobs,
                     &wprov,
@@ -1051,8 +1053,13 @@ impl MergeFold {
 /// `profile.`-stripped from the canonical report — and recorded
 /// outside the stage shards so cached artifacts never replay a cold
 /// run's footprint.
-fn record_stage_memory(obs: &Collector, name: &str) {
-    if let Some(rss) = profile::peak_rss_bytes() {
+///
+/// Peak RSS costs a `/proc/self/status` read, so it is sampled only
+/// where the gauge survives (`sample_rss`): gauges overwrite on
+/// absorb, so of the per-shard stage gauges only the last enumerated
+/// shard's reach the run's report.
+fn record_stage_memory(obs: &Collector, name: &str, sample_rss: bool) {
+    if let Some(rss) = profile::peak_rss_bytes().filter(|_| sample_rss) {
         obs.gauge(
             &format!("profile.mem.stage_{name}.peak_rss_bytes"),
             rss as f64,
@@ -1084,6 +1091,7 @@ fn run_shard(
     spec: &ShardSpec,
     keys: &ShardStageKeys,
     inner_jobs: usize,
+    sample_rss: bool,
     store: &ArtifactStore,
     obs: &Collector,
     prov: &ProvenanceLog,
@@ -1117,7 +1125,7 @@ fn run_shard(
         bytes: corpus.documents.iter().map(|d| d.text.len() as u64).sum(),
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Corpus.name());
+    record_stage_memory(obs, Stage::Corpus.name(), sample_rss);
     if config.abort_after == Some(Stage::Corpus) {
         return ShardYield {
             corpus,
@@ -1184,7 +1192,7 @@ fn run_shard(
         bytes: documents.iter().map(|d| d.text.len() as u64).sum(),
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Digitize.name());
+    record_stage_memory(obs, Stage::Digitize.name(), sample_rss);
     if config.abort_after == Some(Stage::Digitize) {
         return ShardYield {
             corpus,
@@ -1217,7 +1225,7 @@ fn run_shard(
         bytes: 0,
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Normalize.name());
+    record_stage_memory(obs, Stage::Normalize.name(), sample_rss);
     if config.abort_after == Some(Stage::Normalize) {
         return ShardYield {
             corpus,
@@ -1266,7 +1274,7 @@ fn run_shard(
         bytes: 0,
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Tag.name());
+    record_stage_memory(obs, Stage::Tag.name(), sample_rss);
     ShardYield {
         corpus,
         ocr: ocr_stats,

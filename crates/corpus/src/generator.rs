@@ -155,16 +155,8 @@ impl CorpusGenerator {
         }
         let accidents = self.generate_accidents(profile, &scaled, &mut rng);
 
-        let mut truth = FailureDatabase::new();
-        for r in &records {
-            truth.push_disengagement(r.clone());
-        }
-        for m in &mileage {
-            truth.push_mileage(m.clone());
-        }
-        for a in &accidents {
-            truth.push_accident(a.clone());
-        }
+        // Render from the records first, then move them (not clones)
+        // into the truth database.
         let mut documents = Vec::with_capacity(doc_count_for(&scaled));
         if !records.is_empty() || !mileage.is_empty() {
             documents.push(crate::rawdoc::render_disengagement_document(
@@ -182,7 +174,7 @@ impl CorpusGenerator {
             spec.label()
         );
         Corpus {
-            truth,
+            truth: FailureDatabase::from_records(records, accidents, mileage),
             intended_tags: tags,
             documents,
         }
@@ -219,18 +211,7 @@ impl CorpusGenerator {
     /// counts, and the total-mileage gauge.
     pub fn generate_with(&self, obs: &disengage_obs::Collector) -> Corpus {
         let corpus = self.generate();
-        obs.add(
-            "corpus.disengagements",
-            corpus.truth.disengagements().len() as u64,
-        );
-        obs.add("corpus.accidents", corpus.truth.accidents().len() as u64);
-        obs.add("corpus.documents", corpus.documents.len() as u64);
-        for r in corpus.truth.disengagements() {
-            obs.incr(&format!(
-                "corpus.dis.{}",
-                disengage_obs::key_segment(r.manufacturer.name())
-            ));
-        }
+        record_counters(&corpus, obs);
         obs.gauge("corpus.total_miles", corpus.truth.total_miles());
         corpus
     }
@@ -247,18 +228,7 @@ impl CorpusGenerator {
         obs: &disengage_obs::Collector,
     ) -> Corpus {
         let corpus = self.generate_shard(spec);
-        obs.add(
-            "corpus.disengagements",
-            corpus.truth.disengagements().len() as u64,
-        );
-        obs.add("corpus.accidents", corpus.truth.accidents().len() as u64);
-        obs.add("corpus.documents", corpus.documents.len() as u64);
-        for r in corpus.truth.disengagements() {
-            obs.incr(&format!(
-                "corpus.dis.{}",
-                disengage_obs::key_segment(r.manufacturer.name())
-            ));
-        }
+        record_counters(&corpus, obs);
         corpus
     }
 
@@ -398,6 +368,26 @@ impl CorpusGenerator {
                 }
             })
             .collect()
+    }
+}
+
+/// Records the Stage I counters for `corpus`. Records arrive grouped
+/// by shard, and a shard holds one manufacturer, so each run of equal
+/// manufacturers is one `corpus.dis.<m>` update rather than one per
+/// record.
+fn record_counters(corpus: &Corpus, obs: &disengage_obs::Collector) {
+    let records = corpus.truth.disengagements();
+    obs.add("corpus.disengagements", records.len() as u64);
+    obs.add("corpus.accidents", corpus.truth.accidents().len() as u64);
+    obs.add("corpus.documents", corpus.documents.len() as u64);
+    for run in records.chunk_by(|a, b| a.manufacturer == b.manufacturer) {
+        obs.add(
+            &format!(
+                "corpus.dis.{}",
+                disengage_obs::key_segment(run[0].manufacturer.name())
+            ),
+            run.len() as u64,
+        );
     }
 }
 

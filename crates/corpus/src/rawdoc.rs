@@ -2,12 +2,22 @@
 
 use disengage_reports::formats::disengagement::format_for;
 use disengage_reports::formats::document::{DocumentKind, RawDocument};
-use disengage_reports::formats::{render_accident_form, render_mileage_table};
+use disengage_reports::formats::{render_accident_form, render_mileage_table_into};
 use disengage_reports::record::AccidentRecord;
 use disengage_reports::{DisengagementRecord, Manufacturer, MonthlyMileage, ReportYear};
 
+/// Bytes reserved per log line beyond its description: room for the
+/// widest layout's fixed fields (Nissan's date, clock, vehicle,
+/// initiator, reaction, road and weather), so a filing renders into
+/// its buffer without regrowing.
+const LINE_OVERHEAD: usize = 128;
+
+/// Bytes reserved per mileage-table row (`car-N YYYY-MM miles`).
+const MILEAGE_ROW: usize = 32;
+
 /// Renders one (manufacturer, year) batch into a disengagement filing:
-/// the manufacturer-format log lines followed by the mileage table.
+/// the manufacturer-format log lines followed by the mileage table, all
+/// written into one presized buffer.
 pub fn render_disengagement_document(
     manufacturer: Manufacturer,
     year: ReportYear,
@@ -15,13 +25,19 @@ pub fn render_disengagement_document(
     mileage: &[MonthlyMileage],
 ) -> RawDocument {
     let format = format_for(manufacturer);
-    let mut text = String::new();
+    let capacity = records
+        .iter()
+        .map(|r| r.description.len() + LINE_OVERHEAD)
+        .sum::<usize>()
+        + "MILEAGE\n".len()
+        + mileage.len() * MILEAGE_ROW;
+    let mut text = String::with_capacity(capacity);
     for r in records {
-        text.push_str(&format.render(r));
+        format.render_into(r, &mut text);
         text.push('\n');
     }
     if !mileage.is_empty() {
-        text.push_str(&render_mileage_table(mileage));
+        render_mileage_table_into(mileage, &mut text);
     }
     RawDocument::new(manufacturer, year, DocumentKind::Disengagements, text)
 }

@@ -216,10 +216,15 @@ impl Collector {
     }
 
     /// Adds to a counter (creating it at zero). Deltas on watched
-    /// prefixes ([`flight::watched`]) also land in the flight ring.
+    /// prefixes ([`flight::watched`]) also land in the flight ring. The
+    /// name is copied only when the counter is created.
     pub fn add(&self, name: &str, delta: u64) {
         let mut inner = self.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
+        if let Some(count) = inner.counters.get_mut(name) {
+            *count += delta;
+        } else {
+            inner.counters.insert(name.to_owned(), delta);
+        }
         if flight::watched(name) {
             let t0 = Instant::now();
             let t_s = self.epoch.elapsed().as_secs_f64();
@@ -241,16 +246,17 @@ impl Collector {
 
     /// Sets a gauge (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        self.lock().gauges.insert(name.to_owned(), value);
+        let mut inner = self.lock();
+        if let Some(slot) = inner.gauges.get_mut(name) {
+            *slot = value;
+        } else {
+            inner.gauges.insert(name.to_owned(), value);
+        }
     }
 
     /// Records a sample into a histogram (creating it empty).
     pub fn record(&self, name: &str, sample: f64) {
-        self.lock()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(sample);
+        self.record_all(name, [sample]);
     }
 
     /// Records samples into one histogram in order — [`Collector::record`]
@@ -262,7 +268,13 @@ impl Collector {
             return;
         }
         let mut inner = self.lock();
-        let hist = inner.histograms.entry(name.to_owned()).or_default();
+        if !inner.histograms.contains_key(name) {
+            inner.histograms.insert(name.to_owned(), Histogram::default());
+        }
+        let hist = inner
+            .histograms
+            .get_mut(name)
+            .expect("histogram inserted above");
         for sample in samples {
             hist.record(sample);
         }

@@ -75,15 +75,24 @@ pub use trace::{chrome_trace, render_chrome_trace, validate_chrome_trace, TraceT
 /// assert_eq!(disengage_obs::key_segment("Computer System"), "computer_system");
 /// ```
 pub fn key_segment(name: &str) -> String {
+    // Every output byte stands for at least one input byte, so one
+    // allocation of the input's length always suffices. A separator is
+    // written only once an alphanumeric follows it, which collapses
+    // runs and drops leading and trailing ones.
     let mut out = String::with_capacity(name.len());
+    let mut separator = false;
     for c in name.chars() {
         if c.is_ascii_alphanumeric() {
+            if separator {
+                out.push('_');
+                separator = false;
+            }
             out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('_') && !out.is_empty() {
-            out.push('_');
+        } else if !out.is_empty() {
+            separator = true;
         }
     }
-    out.trim_end_matches('_').to_owned()
+    out
 }
 
 #[cfg(test)]
@@ -94,5 +103,8 @@ mod key_tests {
         assert_eq!(super::key_segment("Unknown-T"), "unknown_t");
         assert_eq!(super::key_segment("--x--"), "x");
         assert_eq!(super::key_segment(""), "");
+        assert_eq!(super::key_segment("Uber ATC"), "uber_atc");
+        assert_eq!(super::key_segment("a -- b__c"), "a_b_c");
+        assert_eq!(super::key_segment("Zürich—Süd"), "z_rich_s_d");
     }
 }

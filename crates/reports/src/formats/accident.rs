@@ -5,6 +5,7 @@ use crate::date::Date;
 use crate::record::{AccidentRecord, CarId, CollisionKind, Severity};
 use crate::types::Manufacturer;
 use crate::{ReportError, Result};
+use std::fmt::Write as _;
 
 /// Renders an accident record as a multi-line OL 316-style form.
 ///
@@ -32,39 +33,40 @@ use crate::{ReportError, Result};
 pub fn render_accident_form(record: &AccidentRecord) -> String {
     let mut out = String::new();
     out.push_str("REPORT OF TRAFFIC ACCIDENT INVOLVING AN AUTONOMOUS VEHICLE\n");
-    out.push_str(&format!("Manufacturer: {}\n", record.manufacturer));
-    out.push_str(&format!(
-        "Vehicle: {}\n",
-        match &record.car {
-            CarId::Known(i) => format!("fleet vehicle {i}"),
-            CarId::Redacted => "[REDACTED]".to_owned(),
+    let _ = writeln!(out, "Manufacturer: {}", record.manufacturer);
+    match &record.car {
+        CarId::Known(i) => {
+            let _ = writeln!(out, "Vehicle: fleet vehicle {i}");
         }
-    ));
-    out.push_str(&format!("Date: {}\n", record.date));
-    out.push_str(&format!("Location: {}\n", record.location));
-    out.push_str(&format!(
-        "AV Speed (mph): {}\n",
-        record
-            .av_speed_mph
-            .map_or("unknown".to_owned(), |s| format!("{s:.1}"))
-    ));
-    out.push_str(&format!(
-        "Other Vehicle Speed (mph): {}\n",
-        record
-            .other_speed_mph
-            .map_or("unknown".to_owned(), |s| format!("{s:.1}"))
-    ));
-    out.push_str(&format!(
-        "Autonomous Mode at Impact: {}\n",
+        CarId::Redacted => out.push_str("Vehicle: [REDACTED]\n"),
+    }
+    let _ = writeln!(out, "Date: {}", record.date);
+    let _ = writeln!(out, "Location: {}", record.location);
+    for (label, speed) in [
+        ("AV Speed (mph)", record.av_speed_mph),
+        ("Other Vehicle Speed (mph)", record.other_speed_mph),
+    ] {
+        match speed {
+            Some(s) => {
+                let _ = writeln!(out, "{label}: {s:.1}");
+            }
+            None => {
+                let _ = writeln!(out, "{label}: unknown");
+            }
+        }
+    }
+    let _ = writeln!(
+        out,
+        "Autonomous Mode at Impact: {}",
         if record.autonomous_at_impact {
             "yes"
         } else {
             "no"
         }
-    ));
-    out.push_str(&format!("Collision Type: {}\n", record.kind));
-    out.push_str(&format!("Damage Severity: {}\n", record.severity));
-    out.push_str(&format!("Narrative: {}\n", record.description));
+    );
+    let _ = writeln!(out, "Collision Type: {}", record.kind);
+    let _ = writeln!(out, "Damage Severity: {}", record.severity);
+    let _ = writeln!(out, "Narrative: {}", record.description);
     out
 }
 

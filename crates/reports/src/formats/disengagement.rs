@@ -12,11 +12,17 @@
 //! Cruise). Every format can round-trip: `parse(render(r))` recovers the
 //! fields `r` carries in that format (formats that omit a field — e.g.
 //! Waymo reports month precision only — lose exactly that field).
+//!
+//! Rendering appends to a caller's buffer ([`ReportFormat::render_into`])
+//! and parsing works on borrowed slices of the line, so the only
+//! allocation a clean line costs is the parsed record's description.
 
 use crate::date::Date;
+use crate::fields;
 use crate::record::{CarId, DisengagementRecord};
 use crate::types::{Manufacturer, Modality, RoadType, Weather};
 use crate::{ReportError, Result};
+use std::fmt::Write as _;
 
 /// The em-dash field separator used in several manufacturers' reports.
 pub const DASH_SEP: &str = " — ";
@@ -30,8 +36,15 @@ pub trait ReportFormat {
     /// The manufacturer whose filings use this layout.
     fn manufacturer(&self) -> Manufacturer;
 
+    /// Appends one record as one log line (no trailing newline) to `out`.
+    fn render_into(&self, record: &DisengagementRecord, out: &mut String);
+
     /// Renders one record as one log line (no trailing newline).
-    fn render(&self, record: &DisengagementRecord) -> String;
+    fn render(&self, record: &DisengagementRecord) -> String {
+        let mut out = String::new();
+        self.render_into(record, &mut out);
+        out
+    }
 
     /// Parses one log line back into a uniform record.
     ///
@@ -69,32 +82,51 @@ fn malformed(manufacturer: &'static str, line_no: usize, message: impl Into<Stri
     }
 }
 
-fn render_reaction(rt: Option<f64>) -> String {
-    match rt {
-        Some(s) => format!(" [reaction: {s:.2}s]"),
-        None => String::new(),
+/// Appends the ` [reaction: X.XXs]` annotation when a reaction time is
+/// known.
+fn write_reaction(out: &mut String, rt: Option<f64>) {
+    if let Some(s) = rt {
+        let _ = write!(out, " [reaction: {s:.2}s]");
     }
 }
 
 /// Splits a trailing ` [reaction: X.XXs]` annotation off a description.
-fn split_reaction(desc: &str) -> (String, Option<f64>) {
+fn split_reaction(desc: &str) -> (&str, Option<f64>) {
     if let Some(start) = desc.rfind(" [reaction: ") {
         if let Some(rest) = desc[start..].strip_prefix(" [reaction: ") {
             if let Some(num) = rest.strip_suffix("s]") {
                 if let Ok(v) = num.parse::<f64>() {
-                    return (desc[..start].to_owned(), Some(v));
+                    return (&desc[..start], Some(v));
                 }
             }
         }
     }
-    (desc.to_owned(), None)
+    (desc, None)
 }
 
-fn render_car(car: &CarId) -> String {
+/// Appends `car N` (or `car ?` for a redacted vehicle).
+fn write_car(out: &mut String, car: &CarId) {
     match car {
-        CarId::Known(i) => format!("car {i}"),
-        CarId::Redacted => "car ?".to_owned(),
+        CarId::Known(i) => {
+            let _ = write!(out, "car {i}");
+        }
+        CarId::Redacted => out.push_str("car ?"),
     }
+}
+
+/// Appends the bare fleet index (or `?` for a redacted vehicle).
+fn write_car_index(out: &mut String, car: &CarId) {
+    match car.index() {
+        Some(i) => {
+            let _ = write!(out, "{i}");
+        }
+        None => out.push('?'),
+    }
+}
+
+/// Appends a date as `M/D/YY`.
+fn write_short_date(out: &mut String, date: Date) {
+    let _ = write!(out, "{}/{}/{:02}", date.month(), date.day(), date.year() % 100);
 }
 
 fn parse_car(text: &str) -> Option<CarId> {
@@ -104,6 +136,13 @@ fn parse_car(text: &str) -> Option<CarId> {
         return Some(CarId::Redacted);
     }
     rest.trim().parse::<u32>().ok().map(CarId::Known)
+}
+
+/// A field that renders absent values as `-`: `None` for the dash,
+/// otherwise the trimmed text.
+fn dash_opt(text: &str) -> Option<&str> {
+    let t = text.trim();
+    (t != "-").then_some(t)
 }
 
 /// Nissan: `M/D/YY — H:MM AM/PM — Leaf #N (name) — <desc>[ [reaction: X.XXs]] — <road> — <weather>`.
@@ -119,40 +158,38 @@ impl ReportFormat for NissanFormat {
         Manufacturer::Nissan
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
         let idx = r.car.index().unwrap_or(0);
         let name = NATO[(idx as usize) % NATO.len()];
-        let road = r.road_type.map_or("-".to_owned(), |rt| rt.to_string());
-        let weather = r.weather.map_or("-".to_owned(), |w| w.to_string());
-        let date = format!(
-            "{}/{}/{:02}",
-            r.date.month(),
-            r.date.day(),
-            r.date.year() % 100
-        );
-        let vehicle = format!("Leaf #{} ({})", idx + 1, name);
         // Nissan's logs narrate who initiated the disengagement.
         let initiator = match r.modality {
             Modality::Manual => "driver initiated",
             _ => "system initiated",
         };
-        let desc = format!(
-            "{} ({initiator}){}",
-            r.description,
-            render_reaction(r.reaction_time_s)
+        write_short_date(out, r.date);
+        let _ = write!(
+            out,
+            "{DASH_SEP}11:20 AM{DASH_SEP}Leaf #{} ({name}){DASH_SEP}{} ({initiator})",
+            idx + 1,
+            r.description
         );
-        [date.as_str(), "11:20 AM", &vehicle, &desc, &road, &weather].join(DASH_SEP)
+        write_reaction(out, r.reaction_time_s);
+        let _ = write!(
+            out,
+            "{DASH_SEP}{}{DASH_SEP}{}",
+            r.road_type.map_or("-", RoadType::name),
+            r.weather.map_or("-", Weather::name)
+        );
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(DASH_SEP).collect();
-        if parts.len() != 6 {
-            return Err(malformed(
+        let parts: [&str; 6] = fields(line.split(DASH_SEP)).map_err(|found| {
+            malformed(
                 "Nissan",
                 line_no,
-                format!("expected 6 dash-separated fields, found {}", parts.len()),
-            ));
-        }
+                format!("expected 6 dash-separated fields, found {found}"),
+            )
+        })?;
         let date = Date::parse(parts[0])
             .map_err(|e| malformed("Nissan", line_no, e.to_string()))?;
         let car = parts[2]
@@ -166,26 +203,24 @@ impl ReportFormat for NissanFormat {
         // Strip the initiator clause Nissan appends to the narrative.
         let (description, modality) = if let Some(d) = with_mode.strip_suffix(" (driver initiated)")
         {
-            (d.to_owned(), Modality::Manual)
+            (d, Modality::Manual)
         } else if let Some(d) = with_mode.strip_suffix(" (system initiated)") {
-            (d.to_owned(), Modality::Automatic)
+            (d, Modality::Automatic)
         } else if with_mode.to_ascii_lowercase().contains("driver safely disengaged") {
             // Legacy narrations (Table II's verbatim samples).
-            (with_mode.clone(), Modality::Manual)
+            (with_mode, Modality::Manual)
         } else {
-            (with_mode.clone(), Modality::Automatic)
+            (with_mode, Modality::Automatic)
         };
-        let road_type = RoadType::parse(parts[4]).ok();
-        let weather = Weather::parse(parts[5]).ok();
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Nissan,
             car,
             date,
             modality,
-            road_type,
-            weather,
+            road_type: dash_opt(parts[4]).and_then(|s| RoadType::parse(s).ok()),
+            weather: dash_opt(parts[5]).and_then(|s| Weather::parse(s).ok()),
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
 }
@@ -202,47 +237,44 @@ impl ReportFormat for WaymoFormat {
         Manufacturer::Waymo
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
         const MONTHS: [&str; 12] = [
             "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
         ];
-        let road = r.road_type.map_or("-".to_owned(), |rt| {
-            let mut s = rt.to_string();
-            if let Some(first) = s.get_mut(0..1) {
-                first.make_ascii_uppercase();
+        let _ = write!(
+            out,
+            "{}-{:02}{DASH_SEP}",
+            MONTHS[(r.date.month() - 1) as usize],
+            r.date.year() % 100
+        );
+        // Waymo capitalizes the road type.
+        match r.road_type {
+            Some(rt) => {
+                let name = rt.name();
+                out.push(char::from(name.as_bytes()[0].to_ascii_uppercase()));
+                out.push_str(&name[1..]);
             }
-            s
-        });
+            None => out.push('-'),
+        }
         let mode = match r.modality {
             Modality::Manual => "Safe Operation",
             _ => "Auto",
         };
-        format!(
-            "{}-{:02}{}{}{}{}{}{}{}",
-            MONTHS[(r.date.month() - 1) as usize],
-            r.date.year() % 100,
-            DASH_SEP,
-            road,
-            DASH_SEP,
-            mode,
-            DASH_SEP,
-            r.description,
-            render_reaction(r.reaction_time_s)
-        )
+        let _ = write!(out, "{DASH_SEP}{mode}{DASH_SEP}{}", r.description);
+        write_reaction(out, r.reaction_time_s);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(DASH_SEP).collect();
-        if parts.len() != 4 {
-            return Err(malformed(
+        let parts: [&str; 4] = fields(line.split(DASH_SEP)).map_err(|found| {
+            malformed(
                 "Waymo",
                 line_no,
-                format!("expected 4 dash-separated fields, found {}", parts.len()),
-            ));
-        }
+                format!("expected 4 dash-separated fields, found {found}"),
+            )
+        })?;
         let date =
             Date::parse(parts[0]).map_err(|e| malformed("Waymo", line_no, e.to_string()))?;
-        let road_type = RoadType::parse(parts[1]).ok();
+        let road_type = dash_opt(parts[1]).and_then(|s| RoadType::parse(s).ok());
         let modality = if parts[2].trim() == "Safe Operation" {
             Modality::Manual
         } else {
@@ -257,7 +289,7 @@ impl ReportFormat for WaymoFormat {
             road_type,
             weather: None,
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
 }
@@ -274,25 +306,23 @@ impl ReportFormat for VolkswagenFormat {
         Manufacturer::Volkswagen
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        format!(
-            "{:02}/{:02}/{:02}{}18:24:03{}Takeover-Request{}{}{}",
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
+        let _ = write!(
+            out,
+            "{:02}/{:02}/{:02}{DASH_SEP}18:24:03{DASH_SEP}Takeover-Request{DASH_SEP}{}",
             r.date.month(),
             r.date.day(),
             r.date.year() % 100,
-            DASH_SEP,
-            DASH_SEP,
-            DASH_SEP,
-            r.description,
-            render_reaction(r.reaction_time_s)
-        )
+            r.description
+        );
+        write_reaction(out, r.reaction_time_s);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(DASH_SEP).collect();
-        if parts.len() != 4 || parts[2].trim() != "Takeover-Request" {
-            return Err(malformed("Volkswagen", line_no, "not a takeover-request row"));
-        }
+        let parts: [&str; 4] = match fields(line.split(DASH_SEP)) {
+            Ok(parts) if parts[2].trim() == "Takeover-Request" => parts,
+            _ => return Err(malformed("Volkswagen", line_no, "not a takeover-request row")),
+        };
         let date = Date::parse(parts[0])
             .map_err(|e| malformed("Volkswagen", line_no, e.to_string()))?;
         let (description, reaction_time_s) = split_reaction(parts[3]);
@@ -304,7 +334,7 @@ impl ReportFormat for VolkswagenFormat {
             road_type: None,
             weather: None,
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
 }
@@ -322,39 +352,28 @@ impl BenzFormat {
         line_no: usize,
         manufacturer: Manufacturer,
     ) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(" | ").collect();
-        if parts.len() != 7 {
-            return Err(malformed(
+        let parts: [&str; 7] = fields(line.split(" | ")).map_err(|found| {
+            malformed(
                 "Mercedes-Benz",
                 line_no,
-                format!("expected 7 pipe-separated fields, found {}", parts.len()),
-            ));
-        }
+                format!("expected 7 pipe-separated fields, found {found}"),
+            )
+        })?;
         let date = Date::parse(parts[0])
             .map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
         let car = parse_car(parts[1])
             .ok_or_else(|| malformed("Mercedes-Benz", line_no, "bad car field"))?;
         let modality = Modality::parse(parts[2])
             .map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
-        let opt = |s: &str| {
-            let t = s.trim();
-            if t == "-" {
-                None
-            } else {
-                Some(t.to_owned())
-            }
-        };
-        let road_type = opt(parts[3]).and_then(|s| RoadType::parse(&s).ok());
-        let weather = opt(parts[4]).and_then(|s| Weather::parse(&s).ok());
-        let reaction_time_s = opt(parts[5]).and_then(|s| s.trim_end_matches('s').parse().ok());
         Ok(DisengagementRecord {
             manufacturer,
             car,
             date,
             modality,
-            road_type,
-            weather,
-            reaction_time_s,
+            road_type: dash_opt(parts[3]).and_then(|s| RoadType::parse(s).ok()),
+            weather: dash_opt(parts[4]).and_then(|s| Weather::parse(s).ok()),
+            reaction_time_s: dash_opt(parts[5])
+                .and_then(|s| s.trim_end_matches('s').parse().ok()),
             description: parts[6].trim().to_owned(),
         })
     }
@@ -365,22 +384,23 @@ impl ReportFormat for BenzFormat {
         Manufacturer::MercedesBenz
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        let road = r.road_type.map_or("-".to_owned(), |x| x.to_string());
-        let weather = r.weather.map_or("-".to_owned(), |x| x.to_string());
-        let reaction = r
-            .reaction_time_s
-            .map_or("-".to_owned(), |x| format!("{x:.2}s"));
-        format!(
-            "{} | {} | {} | {} | {} | {} | {}",
-            r.date,
-            render_car(&r.car),
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
+        let _ = write!(out, "{} | ", r.date);
+        write_car(out, &r.car);
+        let _ = write!(
+            out,
+            " | {} | {} | {} | ",
             r.modality,
-            road,
-            weather,
-            reaction,
-            r.description
-        )
+            r.road_type.map_or("-", RoadType::name),
+            r.weather.map_or("-", Weather::name)
+        );
+        match r.reaction_time_s {
+            Some(x) => {
+                let _ = write!(out, "{x:.2}s");
+            }
+            None => out.push('-'),
+        }
+        let _ = write!(out, " | {}", r.description);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
@@ -400,19 +420,18 @@ impl ReportFormat for BoschFormat {
         Manufacturer::Bosch
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        let road = r.road_type.map_or("-".to_owned(), |x| x.to_string());
-        let weather = r.weather.map_or("-".to_owned(), |x| x.to_string());
-        format!(
-            "Planned test on {}/{}/{:02} ({}): {} [road={}; weather={}]",
-            r.date.month(),
-            r.date.day(),
-            r.date.year() % 100,
-            render_car(&r.car),
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
+        out.push_str("Planned test on ");
+        write_short_date(out, r.date);
+        out.push_str(" (");
+        write_car(out, &r.car);
+        let _ = write!(
+            out,
+            "): {} [road={}; weather={}]",
             r.description,
-            road,
-            weather
-        )
+            r.road_type.map_or("-", RoadType::name),
+            r.weather.map_or("-", Weather::name)
+        );
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
@@ -443,8 +462,8 @@ impl ReportFormat for BoschFormat {
             car,
             date,
             modality: Modality::Planned,
-            road_type: RoadType::parse(road_text).ok(),
-            weather: Weather::parse(weather_text).ok(),
+            road_type: dash_opt(road_text).and_then(|s| RoadType::parse(s).ok()),
+            weather: dash_opt(weather_text).and_then(|s| Weather::parse(s).ok()),
             reaction_time_s: None,
             description: description.to_owned(),
         })
@@ -460,20 +479,27 @@ impl ReportFormat for DelphiFormat {
         Manufacturer::Delphi
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        let road = r.road_type.map_or(String::new(), |x| x.to_string());
-        let reaction = r
-            .reaction_time_s
-            .map_or(String::new(), |x| format!("{x:.2}"));
-        format!(
-            "{},{},{},{},{},\"{}\"",
-            r.date,
-            r.car.index().map_or("?".to_owned(), |i| i.to_string()),
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
+        let _ = write!(out, "{},", r.date);
+        write_car_index(out, &r.car);
+        let _ = write!(
+            out,
+            ",{},{},",
             r.modality,
-            road,
-            reaction,
-            r.description.replace('"', "\"\"")
-        )
+            r.road_type.map_or("", RoadType::name)
+        );
+        if let Some(x) = r.reaction_time_s {
+            let _ = write!(out, "{x:.2}");
+        }
+        // CSV quoting: the description is quoted, embedded quotes doubled.
+        out.push_str(",\"");
+        for (i, piece) in r.description.split('"').enumerate() {
+            if i > 0 {
+                out.push_str("\"\"");
+            }
+            out.push_str(piece);
+        }
+        out.push('"');
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
@@ -486,36 +512,35 @@ impl ReportFormat for DelphiFormat {
             .strip_suffix('"')
             .ok_or_else(|| malformed("Delphi", line_no, "unterminated description"))?
             .replace("\"\"", "\"");
-        let fields: Vec<&str> = head.split(',').collect();
-        if fields.len() != 5 {
-            return Err(malformed(
+        let parts: [&str; 5] = fields(head.split(',')).map_err(|found| {
+            malformed(
                 "Delphi",
                 line_no,
-                format!("expected 5 leading fields, found {}", fields.len()),
-            ));
-        }
+                format!("expected 5 leading fields, found {found}"),
+            )
+        })?;
         let date =
-            Date::parse(fields[0]).map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
-        let car = if fields[1].trim() == "?" {
+            Date::parse(parts[0]).map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
+        let car = if parts[1].trim() == "?" {
             CarId::Redacted
         } else {
-            fields[1]
+            parts[1]
                 .trim()
                 .parse::<u32>()
                 .map(CarId::Known)
                 .map_err(|_| malformed("Delphi", line_no, "bad car index"))?
         };
-        let modality = Modality::parse(fields[2])
+        let modality = Modality::parse(parts[2])
             .map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
-        let road_type = if fields[3].is_empty() {
+        let road_type = if parts[3].is_empty() {
             None
         } else {
-            RoadType::parse(fields[3]).ok()
+            RoadType::parse(parts[3]).ok()
         };
-        let reaction_time_s = if fields[4].is_empty() {
+        let reaction_time_s = if parts[4].is_empty() {
             None
         } else {
-            fields[4].parse().ok()
+            parts[4].parse().ok()
         };
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Delphi,
@@ -541,14 +566,10 @@ impl ReportFormat for GmCruiseFormat {
         Manufacturer::GmCruise
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        format!(
-            "#{} {} planned{}{}",
-            r.car.index().map_or("?".to_owned(), |i| i.to_string()),
-            r.date,
-            DASH_SEP,
-            r.description
-        )
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
+        out.push('#');
+        write_car_index(out, &r.car);
+        let _ = write!(out, " {} planned{DASH_SEP}{}", r.date, r.description);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
@@ -558,10 +579,10 @@ impl ReportFormat for GmCruiseFormat {
         let (head, description) = rest
             .split_once(DASH_SEP)
             .ok_or_else(|| malformed("GMCruise", line_no, "missing description"))?;
-        let tokens: Vec<&str> = head.split_whitespace().collect();
-        if tokens.len() != 3 || tokens[2] != "planned" {
-            return Err(malformed("GMCruise", line_no, "bad header tokens"));
-        }
+        let tokens: [&str; 3] = match fields(head.split_whitespace()) {
+            Ok(tokens) if tokens[2] == "planned" => tokens,
+            _ => return Err(malformed("GMCruise", line_no, "bad header tokens")),
+        };
         let car = if tokens[0] == "?" {
             CarId::Redacted
         } else {
@@ -597,32 +618,26 @@ impl ReportFormat for TeslaFormat {
         Manufacturer::Tesla
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
+    fn render_into(&self, r: &DisengagementRecord, out: &mut String) {
         let mode = match r.modality {
             Modality::Manual => "manual",
             _ => "auto",
         };
-        format!(
-            "{} | {}/{}/{:02} | {} | {}{}",
-            render_car(&r.car),
-            r.date.month(),
-            r.date.day(),
-            r.date.year() % 100,
-            mode,
-            r.description,
-            render_reaction(r.reaction_time_s)
-        )
+        write_car(out, &r.car);
+        out.push_str(" | ");
+        write_short_date(out, r.date);
+        let _ = write!(out, " | {mode} | {}", r.description);
+        write_reaction(out, r.reaction_time_s);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(" | ").collect();
-        if parts.len() != 4 {
-            return Err(malformed(
+        let parts: [&str; 4] = fields(line.split(" | ")).map_err(|found| {
+            malformed(
                 "Tesla",
                 line_no,
-                format!("expected 4 pipe-separated fields, found {}", parts.len()),
-            ));
-        }
+                format!("expected 4 pipe-separated fields, found {found}"),
+            )
+        })?;
         let car =
             parse_car(parts[0]).ok_or_else(|| malformed("Tesla", line_no, "bad car field"))?;
         let date =
@@ -638,7 +653,7 @@ impl ReportFormat for TeslaFormat {
             road_type: None,
             weather: None,
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
 }

@@ -2,24 +2,33 @@
 //! report ("monthly autonomous miles traveled", Section III-C).
 
 use crate::date::Date;
+use crate::fields;
 use crate::record::{CarId, MonthlyMileage};
 use crate::types::Manufacturer;
 use crate::{ReportError, Result};
+use std::fmt::Write as _;
 
 /// Renders a mileage table: one `car-N YYYY-MM miles` row per entry,
 /// under a `MILEAGE` header.
 pub fn render_mileage_table(rows: &[MonthlyMileage]) -> String {
-    let mut out = String::from("MILEAGE\n");
+    let mut out = String::new();
+    render_mileage_table_into(rows, &mut out);
+    out
+}
+
+/// [`render_mileage_table`], appending to `out`.
+pub fn render_mileage_table_into(rows: &[MonthlyMileage], out: &mut String) {
+    out.push_str("MILEAGE\n");
     for r in rows {
-        out.push_str(&format!(
-            "{} {:04}-{:02} {:.1}\n",
+        let _ = writeln!(
+            out,
+            "{} {:04}-{:02} {:.1}",
             r.car,
             r.month.year(),
             r.month.month(),
             r.miles
-        ));
+        );
     }
-    out
 }
 
 /// Parses a mileage table rendered by [`render_mileage_table`].
@@ -39,14 +48,12 @@ pub fn parse_mileage_table(
         if line.is_empty() || line == "MILEAGE" {
             continue;
         }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.len() != 3 {
-            return Err(ReportError::MalformedLine {
+        let tokens: [&str; 3] =
+            fields(line.split_whitespace()).map_err(|found| ReportError::MalformedLine {
                 manufacturer: "mileage table",
                 line: line_no,
-                message: format!("expected 3 tokens, found {}", tokens.len()),
-            });
-        }
+                message: format!("expected 3 tokens, found {found}"),
+            })?;
         let car = if tokens[0] == "[redacted]" {
             CarId::Redacted
         } else {

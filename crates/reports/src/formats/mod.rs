@@ -16,4 +16,4 @@ pub mod mileage;
 pub use accident::{parse_accident_form, render_accident_form};
 pub use disengagement::{format_for, ReportFormat};
 pub use document::{DocumentKind, RawDocument};
-pub use mileage::{parse_mileage_table, render_mileage_table};
+pub use mileage::{parse_mileage_table, render_mileage_table, render_mileage_table_into};

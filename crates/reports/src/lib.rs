@@ -35,3 +35,25 @@ pub use types::{Manufacturer, Modality, ReportYear, RoadType, Weather};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ReportError>;
+
+/// Collects exactly `N` fields from `parts` as borrowed slices, or
+/// returns the full field count when there are more or fewer — so a
+/// well-formed line splits without allocating and a malformed one can
+/// still say how many fields it had.
+pub(crate) fn fields<'a, const N: usize>(
+    parts: impl Iterator<Item = &'a str>,
+) -> std::result::Result<[&'a str; N], usize> {
+    let mut out = [""; N];
+    let mut count = 0;
+    for part in parts {
+        if let Some(slot) = out.get_mut(count) {
+            *slot = part;
+        }
+        count += 1;
+    }
+    if count == N {
+        Ok(out)
+    } else {
+        Err(count)
+    }
+}

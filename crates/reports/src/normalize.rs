@@ -9,7 +9,7 @@
 use crate::formats::disengagement::format_for;
 use crate::formats::document::{DocumentKind, RawDocument};
 use crate::formats::{parse_accident_form, parse_mileage_table};
-use crate::record::{AccidentRecord, DisengagementRecord, MonthlyMileage};
+use crate::record::{AccidentRecord, CarId, DisengagementRecord, MonthlyMileage};
 use crate::ReportError;
 
 /// Outcome of normalizing one document: the records recovered plus any
@@ -99,15 +99,6 @@ pub fn normalize_document_traced(
             obs.incr(name);
         }
     };
-    let count_m = |stem: &str| {
-        if let Some(obs) = obs {
-            obs.incr(stem);
-            obs.incr(&format!(
-                "{stem}.{}",
-                disengage_obs::key_segment(doc.manufacturer.name())
-            ));
-        }
-    };
     let quarantine = |subject: Subject, reason: &dyn std::fmt::Display| {
         if prov.is_enabled() {
             prov.push(
@@ -142,60 +133,53 @@ pub fn normalize_document_traced(
         DocumentKind::Disengagements => {
             let format = format_for(doc.manufacturer);
             let (log_text, mileage_text) = doc.sections();
+            let segment = disengage_obs::key_segment(doc.manufacturer.name());
+            let year = doc.report_year.filing_year();
             // Per-car ordinal within this document: the corpus emits one
             // disengagement document per (manufacturer, filing year), so
             // (manufacturer, year, car, ordinal) identifies the record.
-            let mut car_seq: std::collections::BTreeMap<String, u32> =
+            let mut car_seq: std::collections::BTreeMap<CarId, u32> =
                 std::collections::BTreeMap::new();
+            // The clean-path counters fold into one update per document;
+            // failures stay one event each (the flight recorder watches
+            // `parse.dis.failed*`).
+            let (mut lines, mut parsed) = (0u64, 0u64);
             for (i, line) in log_text.lines().enumerate() {
                 let line = line.trim();
                 if line.is_empty() {
                     continue;
                 }
-                count("parse.dis.lines");
-                match format.parse_line(line, i + 1) {
-                    Ok(mut record) => {
-                        record.manufacturer = doc.manufacturer;
-                        match record.validate() {
-                            Ok(()) => {
-                                let car = record.car.to_string();
-                                let seq = car_seq.entry(car.clone()).or_insert(0);
-                                let id = RecordId::new(
-                                    doc.manufacturer.name(),
-                                    doc.report_year.filing_year(),
-                                    &car,
-                                    *seq,
-                                );
-                                *seq += 1;
-                                if prov.is_enabled() {
-                                    prov.push(
-                                        Subject::Record(id.clone()),
-                                        ProvenanceEvent::Normalized {
-                                            doc: doc_index,
-                                            line: i + 1,
-                                            summary: format!(
-                                                "{} {} {}",
-                                                record.car, record.date, record.modality
-                                            ),
-                                        },
-                                    );
-                                }
-                                ids.push(id);
-                                out.disengagements.push(record);
-                                count_m("parse.dis.parsed");
-                            }
-                            Err(e) => {
-                                quarantine(
-                                    Subject::Line {
-                                        doc: doc_index,
-                                        line: i + 1,
-                                    },
-                                    &e,
-                                );
-                                out.failures.push(e);
-                                count_m("parse.dis.failed");
-                            }
+                lines += 1;
+                let outcome = format.parse_line(line, i + 1).and_then(|mut record| {
+                    record.manufacturer = doc.manufacturer;
+                    record.validate().map(|()| record)
+                });
+                match outcome {
+                    Ok(record) => {
+                        let seq = car_seq.entry(record.car.clone()).or_insert(0);
+                        let id = RecordId {
+                            manufacturer: segment.clone(),
+                            year,
+                            car: car_label(&record.car),
+                            seq: *seq,
+                        };
+                        *seq += 1;
+                        if prov.is_enabled() {
+                            prov.push(
+                                Subject::Record(id.clone()),
+                                ProvenanceEvent::Normalized {
+                                    doc: doc_index,
+                                    line: i + 1,
+                                    summary: format!(
+                                        "{} {} {}",
+                                        record.car, record.date, record.modality
+                                    ),
+                                },
+                            );
                         }
+                        ids.push(id);
+                        out.disengagements.push(record);
+                        parsed += 1;
                     }
                     Err(e) => {
                         quarantine(
@@ -206,8 +190,21 @@ pub fn normalize_document_traced(
                             &e,
                         );
                         out.failures.push(e);
-                        count_m("parse.dis.failed");
+                        if let Some(obs) = obs {
+                            obs.incr("parse.dis.failed");
+                            obs.incr(&format!("parse.dis.failed.{segment}"));
+                        }
                     }
+                }
+            }
+            if let Some(obs) = obs {
+                // A counter nothing incremented stays absent.
+                if lines > 0 {
+                    obs.add("parse.dis.lines", lines);
+                }
+                if parsed > 0 {
+                    obs.add("parse.dis.parsed", parsed);
+                    obs.add(&format!("parse.dis.parsed.{segment}"), parsed);
                 }
             }
             if !mileage_text.is_empty() {
@@ -228,6 +225,16 @@ pub fn normalize_document_traced(
         }
     }
     (out, ids)
+}
+
+/// A car's record-id segment: its display form (`car-3`, `[redacted]`)
+/// reduced to `[a-z0-9-]` as [`disengage_obs::RecordId::new`] would,
+/// built directly.
+fn car_label(car: &CarId) -> String {
+    match car {
+        CarId::Known(i) => format!("car-{i}"),
+        CarId::Redacted => "redacted".to_owned(),
+    }
 }
 
 /// Normalizes a batch of documents, merging all outcomes.
@@ -422,6 +429,52 @@ mod tests {
         let (_, silent_ids) =
             normalize_document_traced(&doc, 5, None, &ProvenanceLog::disabled());
         assert_eq!(silent_ids, ids);
+    }
+
+    #[test]
+    fn car_label_matches_record_id_normalization() {
+        for car in [CarId::Known(0), CarId::Known(7), CarId::Known(12_345), CarId::Redacted] {
+            let id = disengage_obs::RecordId::new("Nissan", 2016, &car.to_string(), 0);
+            assert_eq!(car_label(&car), id.car, "{car}");
+        }
+    }
+
+    #[test]
+    fn counters_fold_per_document_and_absent_stay_absent() {
+        let f = crate::formats::disengagement::NissanFormat;
+        let text = format!(
+            "{}\nOCR GARBAGE @@@@\n{}\n",
+            f.render(&sample_record()),
+            f.render(&sample_record())
+        );
+        let doc = RawDocument::new(
+            Manufacturer::Nissan,
+            ReportYear::R2016,
+            DocumentKind::Disengagements,
+            text,
+        );
+        let obs = disengage_obs::Collector::new();
+        normalize_document_with(&doc, &obs);
+        let report = obs.report();
+        assert_eq!(report.counter("parse.dis.lines"), 3);
+        assert_eq!(report.counter("parse.dis.parsed"), 2);
+        assert_eq!(report.counter("parse.dis.parsed.nissan"), 2);
+        assert_eq!(report.counter("parse.dis.failed"), 1);
+        assert_eq!(report.counter("parse.dis.failed.nissan"), 1);
+
+        // A document whose every line fails creates no parsed counters.
+        let garbage = RawDocument::new(
+            Manufacturer::Nissan,
+            ReportYear::R2016,
+            DocumentKind::Disengagements,
+            "OCR GARBAGE @@@@\n",
+        );
+        let obs = disengage_obs::Collector::new();
+        normalize_document_with(&garbage, &obs);
+        let report = obs.report();
+        assert_eq!(report.counter("parse.dis.lines"), 1);
+        assert!(!report.counters.contains_key("parse.dis.parsed"));
+        assert!(!report.counters.contains_key("parse.dis.parsed.nissan"));
     }
 
     #[test]

@@ -4,6 +4,17 @@
 use crate::{ReportError, Result};
 use std::fmt;
 
+/// Looks the trimmed `text` up in a table of lowercase aliases,
+/// ignoring ASCII case — the tolerant matching every vocabulary parser
+/// shares, without lowercasing into a fresh string.
+fn lookup<T: Copy>(aliases: &[(&str, T)], text: &str) -> Option<T> {
+    let t = text.trim();
+    aliases
+        .iter()
+        .find(|(alias, _)| alias.eq_ignore_ascii_case(t))
+        .map(|&(_, value)| value)
+}
+
 /// The twelve AV manufacturers in the CA DMV dataset (Section III-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Manufacturer {
@@ -88,26 +99,38 @@ impl Manufacturer {
     ///
     /// Returns [`ReportError::UnknownManufacturer`] for unknown names.
     pub fn parse(text: &str) -> Result<Manufacturer> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "mercedes-benz" | "mercedes benz" | "mercedes" | "benz" | "daimler" => {
-                Manufacturer::MercedesBenz
-            }
-            "bosch" | "robert bosch" => Manufacturer::Bosch,
-            "delphi" | "delphi automotive" | "aptiv" => Manufacturer::Delphi,
-            "gmcruise" | "gm cruise" | "cruise" | "gm" | "general motors" => {
-                Manufacturer::GmCruise
-            }
-            "nissan" => Manufacturer::Nissan,
-            "tesla" | "tesla motors" => Manufacturer::Tesla,
-            "volkswagen" | "vw" => Manufacturer::Volkswagen,
-            "waymo" | "google" | "waymo (google)" => Manufacturer::Waymo,
-            "uber" | "uber atc" => Manufacturer::Uber,
-            "honda" => Manufacturer::Honda,
-            "ford" => Manufacturer::Ford,
-            "bmw" => Manufacturer::Bmw,
-            _ => return Err(ReportError::UnknownManufacturer(text.to_owned())),
-        })
+        use Manufacturer::*;
+        const ALIASES: &[(&str, Manufacturer)] = &[
+            ("mercedes-benz", MercedesBenz),
+            ("mercedes benz", MercedesBenz),
+            ("mercedes", MercedesBenz),
+            ("benz", MercedesBenz),
+            ("daimler", MercedesBenz),
+            ("bosch", Bosch),
+            ("robert bosch", Bosch),
+            ("delphi", Delphi),
+            ("delphi automotive", Delphi),
+            ("aptiv", Delphi),
+            ("gmcruise", GmCruise),
+            ("gm cruise", GmCruise),
+            ("cruise", GmCruise),
+            ("gm", GmCruise),
+            ("general motors", GmCruise),
+            ("nissan", Nissan),
+            ("tesla", Tesla),
+            ("tesla motors", Tesla),
+            ("volkswagen", Volkswagen),
+            ("vw", Volkswagen),
+            ("waymo", Waymo),
+            ("google", Waymo),
+            ("waymo (google)", Waymo),
+            ("uber", Uber),
+            ("uber atc", Uber),
+            ("honda", Honda),
+            ("ford", Ford),
+            ("bmw", Bmw),
+        ];
+        lookup(ALIASES, text).ok_or_else(|| ReportError::UnknownManufacturer(text.to_owned()))
     }
 }
 
@@ -168,21 +191,24 @@ impl RoadType {
     ///
     /// Returns [`ReportError::InvalidField`] for unknown tokens.
     pub fn parse(text: &str) -> Result<RoadType> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "street" | "city" | "urban" | "city street" | "city and highway" => RoadType::Street,
-            "highway" => RoadType::Highway,
-            "interstate" => RoadType::Interstate,
-            "freeway" => RoadType::Freeway,
-            "parking lot" | "parking" => RoadType::ParkingLot,
-            "suburban" => RoadType::Suburban,
-            "rural" => RoadType::Rural,
-            _ => {
-                return Err(ReportError::InvalidField {
-                    field: "road_type",
-                    value: text.to_owned(),
-                })
-            }
+        use RoadType::*;
+        const ALIASES: &[(&str, RoadType)] = &[
+            ("street", Street),
+            ("city", Street),
+            ("urban", Street),
+            ("city street", Street),
+            ("city and highway", Street),
+            ("highway", Highway),
+            ("interstate", Interstate),
+            ("freeway", Freeway),
+            ("parking lot", ParkingLot),
+            ("parking", ParkingLot),
+            ("suburban", Suburban),
+            ("rural", Rural),
+        ];
+        lookup(ALIASES, text).ok_or_else(|| ReportError::InvalidField {
+            field: "road_type",
+            value: text.to_owned(),
         })
     }
 }
@@ -226,18 +252,25 @@ impl Weather {
     ///
     /// Returns [`ReportError::InvalidField`] for unknown tokens.
     pub fn parse(text: &str) -> Result<Weather> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "clear" | "sunny" | "dry" | "sunny/dry" | "clear/dry" => Weather::Clear,
-            "rain" | "raining" | "wet" | "raining/wet" => Weather::Rain,
-            "overcast" | "cloudy" => Weather::Overcast,
-            "fog" | "foggy" => Weather::Fog,
-            _ => {
-                return Err(ReportError::InvalidField {
-                    field: "weather",
-                    value: text.to_owned(),
-                })
-            }
+        use Weather::*;
+        const ALIASES: &[(&str, Weather)] = &[
+            ("clear", Clear),
+            ("sunny", Clear),
+            ("dry", Clear),
+            ("sunny/dry", Clear),
+            ("clear/dry", Clear),
+            ("rain", Rain),
+            ("raining", Rain),
+            ("wet", Rain),
+            ("raining/wet", Rain),
+            ("overcast", Overcast),
+            ("cloudy", Overcast),
+            ("fog", Fog),
+            ("foggy", Fog),
+        ];
+        lookup(ALIASES, text).ok_or_else(|| ReportError::InvalidField {
+            field: "weather",
+            value: text.to_owned(),
         })
     }
 }
@@ -279,17 +312,23 @@ impl Modality {
     ///
     /// Returns [`ReportError::InvalidField`] for unknown tokens.
     pub fn parse(text: &str) -> Result<Modality> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "automatic" | "auto" | "av initiated" | "takeover-request" => Modality::Automatic,
-            "manual" | "driver" | "driver initiated" | "safe operation" => Modality::Manual,
-            "planned" | "planned test" | "test" => Modality::Planned,
-            _ => {
-                return Err(ReportError::InvalidField {
-                    field: "modality",
-                    value: text.to_owned(),
-                })
-            }
+        use Modality::*;
+        const ALIASES: &[(&str, Modality)] = &[
+            ("automatic", Automatic),
+            ("auto", Automatic),
+            ("av initiated", Automatic),
+            ("takeover-request", Automatic),
+            ("manual", Manual),
+            ("driver", Manual),
+            ("driver initiated", Manual),
+            ("safe operation", Manual),
+            ("planned", Planned),
+            ("planned test", Planned),
+            ("test", Planned),
+        ];
+        lookup(ALIASES, text).ok_or_else(|| ReportError::InvalidField {
+            field: "modality",
+            value: text.to_owned(),
         })
     }
 }

@@ -189,3 +189,28 @@ fn digitize_phases_cover_stage_i_and_fold_cleanly() {
         );
     }
 }
+
+/// Peak RSS is read only in the last enumerated shard (the one whose
+/// gauges survive absorption), yet every stage — the four shard stages
+/// and the merge — still reports it, sequentially and on a pool.
+#[cfg(target_os = "linux")]
+#[test]
+fn every_stage_reports_peak_rss_at_any_worker_count() {
+    let config = RunConfig::new()
+        .with_corpus(CorpusConfig {
+            seed: 0x5EED,
+            scale: 0.05,
+        })
+        .without_flight_dump();
+    for jobs in [1, 4] {
+        let report = run_collecting(&config.clone().with_jobs(jobs)).report();
+        for stage in ["corpus", "digitize", "normalize", "tag", "merge"] {
+            let name = format!("profile.mem.stage_{stage}.peak_rss_bytes");
+            let rss = report.gauges.get(&name).copied();
+            assert!(
+                rss.is_some_and(|b| b > 0.0),
+                "jobs={jobs}: {name} missing or zero ({rss:?})"
+            );
+        }
+    }
+}
