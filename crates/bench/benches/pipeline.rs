@@ -1,6 +1,7 @@
 //! Stage-by-stage pipeline throughput: corpus generation, document
 //! rendering + normalization, OCR digitization, and NLP tagging, plus
-//! the two halves of the Stage I–II text path on the largest shard.
+//! the two halves of the Stage I–II text path on the largest shard and
+//! the Stage I kernels against their per-pixel specs.
 
 use disengage_bench::timing;
 use disengage_core::tagging::tag_records_traced;
@@ -8,8 +9,8 @@ use disengage_core::{RunConfig, RunSession};
 use disengage_corpus::{CorpusConfig, CorpusGenerator};
 use disengage_nlp::Classifier;
 use disengage_ocr::engine::OcrEngine;
-use disengage_ocr::raster::rasterize;
-use disengage_ocr::NoiseModel;
+use disengage_ocr::raster::{self, rasterize, rasterize_line_into, Bitmap};
+use disengage_ocr::{digitize_streamed, noise, NoiseModel, StreamScratch};
 use disengage_obs::{Collector, ProvenanceLog};
 use disengage_reports::normalize::{normalize_all, normalize_document_traced};
 use rand::rngs::StdRng;
@@ -93,4 +94,37 @@ fn main() {
     g.sample_size(10).throughput_elements(chars);
     g.bench("rasterize_document", || rasterize(&doc.text));
     g.bench("recognize_document", || engine.recognize(&noisy));
+    // The scanner-noise kernel against its per-pixel spec, same page
+    // and seed (the outputs are bit-identical).
+    g.bench("noise/spec", || {
+        noise::spec::degrade(&NoiseModel::light(), &page, &mut StdRng::seed_from_u64(7))
+    });
+    g.bench("noise/word", || {
+        NoiseModel::light().degrade(&page, &mut StdRng::seed_from_u64(7))
+    });
+    // One strip of the document's longest line, glyphs rebuilt from the
+    // font patterns per character vs read from the packed-row table.
+    let line = doc
+        .text
+        .lines()
+        .max_by_key(|l| l.chars().count())
+        .expect("document has lines");
+    let mut strip = Bitmap::blank(0, 0);
+    g.bench("rasterize_line/glyph_for", || {
+        raster::spec::rasterize_line_into(line, page.width(), &mut strip)
+    });
+    g.bench("rasterize_line/table", || {
+        rasterize_line_into(line, page.width(), &mut strip)
+    });
+    // The production Stage I digitizer end to end on the document.
+    let mut scratch = StreamScratch::default();
+    g.bench("digitize_streamed", || {
+        digitize_streamed(
+            &doc.text,
+            &NoiseModel::light(),
+            &engine,
+            &mut scratch,
+            &mut StdRng::seed_from_u64(7),
+        )
+    });
 }

@@ -31,6 +31,7 @@ use disengage_reports::formats::RawDocument;
 use disengage_reports::{FailureDatabase, ReportError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// Optional run-level tracing: the per-record [`ProvenanceLog`] behind
 /// `disengage explain` / `--lineage`, plus the [`TaskTimeline`] behind
@@ -382,8 +383,8 @@ pub(crate) fn digitize_simulated_parts(
     prov: &ProvenanceLog,
     timeline: &TaskTimeline,
 ) -> (Vec<RawDocument>, OcrStats) {
-    let engine = OcrEngine::new();
-    let corrector = config.correct.then(default_corrector);
+    let engine = shared_engine();
+    let corrector = config.correct.then(shared_corrector);
     // Each pool worker keeps one strip-streaming scratch alive across
     // every document it processes, so the hot loop stops paying an
     // alloc/free cycle per page. Reuse cannot leak between documents:
@@ -423,7 +424,7 @@ pub(crate) fn digitize_simulated_parts(
                 let out = digitize_streamed_timed(
                     &doc.text,
                     &config.noise,
-                    &engine,
+                    engine,
                     scratch,
                     &mut rng,
                     &mut timings,
@@ -526,6 +527,22 @@ pub(crate) fn record_repair_attempts(obs: &Collector, per_attempt: &[u64]) {
         obs.add(&format!("ocr.correct.attempt{}", k + 1), hits);
     }
     obs.add("ocr.corrections", per_attempt.iter().sum());
+}
+
+/// The process's OCR engine: one default-configured [`OcrEngine`],
+/// built on first use and shared by every shard and worker (it is
+/// read-only once built).
+pub fn shared_engine() -> &'static OcrEngine {
+    static ENGINE: OnceLock<OcrEngine> = OnceLock::new();
+    ENGINE.get_or_init(OcrEngine::new)
+}
+
+/// The process's [`default_corrector`], built on first use and shared
+/// by every shard and the chaos repair path, instead of rebuilding the
+/// vocabulary per shard.
+pub fn shared_corrector() -> &'static Corrector {
+    static CORRECTOR: OnceLock<Corrector> = OnceLock::new();
+    CORRECTOR.get_or_init(default_corrector)
 }
 
 /// The post-correction vocabulary: every word of the failure dictionary

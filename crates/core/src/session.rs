@@ -51,7 +51,7 @@
 use crate::artifact::{self, NormalizeArtifact, FORMAT_VERSION};
 use crate::error::{CoreError, Quarantined};
 use crate::pipeline::{
-    default_corrector, digitize_simulated_parts, record_repair_attempts, DigitizeConfig, OcrMode,
+    digitize_simulated_parts, record_repair_attempts, shared_corrector, DigitizeConfig, OcrMode,
     OcrStats, PipelineConfig, PipelineOutcome, RunTrace,
 };
 use crate::tagging::{tag_records_traced, TaggedDisengagement};
@@ -1345,7 +1345,7 @@ fn normalize_stage(
                     );
                 }
             }
-            let corrector = default_corrector();
+            let corrector = shared_corrector();
             let per_doc = par::par_map_indexed_timed(
                 jobs,
                 &faulted,

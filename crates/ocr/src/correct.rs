@@ -103,23 +103,51 @@ fn banded_distance_over<I>(a: I, la: usize, b: &[char], band: usize) -> Option<u
 where
     I: Iterator<Item = char>,
 {
-    let lb = b.len();
-    if la.abs_diff(lb) > band {
+    if la.abs_diff(b.len()) > band {
         return None;
     }
-    // Out-of-corridor cells read as INF; `/2` leaves room for the +1s.
-    const INF: usize = usize::MAX / 2;
-    // Corridor-indexed rows: row `i` holds DP cells `j` in
-    // `[i − band, i + band]` at index `j + band − i`, so the rows are
-    // `O(band)` wide instead of `O(lb)`. On a large, low-error document
-    // (the `cer` phase's whole-filing query) full-width rows were the
-    // digitizer's last document-sized transient; corridor rows scale
-    // with the error count instead. The `+ 2` width leaves a
-    // permanently-INF slot past the right flank so the recurrence can
-    // read one cell beyond the corridor unguarded.
+    // The `+ 2` width leaves a permanently-INF slot past the right
+    // flank so the recurrence can read one cell beyond the corridor
+    // unguarded. The corrector's queries (band ≤ 2) run on stack rows;
+    // only a wider band — the whole-document `cer` query — allocates.
     let width = 2 * band + 2;
-    let mut prev: Vec<usize> = vec![INF; width];
-    let mut curr: Vec<usize> = vec![INF; width];
+    if width <= SMALL_WIDTH {
+        let mut rows = [[INF; SMALL_WIDTH]; 2];
+        let [prev, curr] = &mut rows;
+        banded_rows(a, la, b, band, &mut prev[..width], &mut curr[..width])
+    } else {
+        banded_rows(a, la, b, band, &mut vec![INF; width], &mut vec![INF; width])
+    }
+}
+
+/// Out-of-corridor cells read as INF; `/2` leaves room for the +1s.
+const INF: usize = usize::MAX / 2;
+
+/// Corridor width (`2·band + 2`) up to which the rows live on the
+/// stack: band 2, the corrector's widest repair distance.
+const SMALL_WIDTH: usize = 6;
+
+/// The banded DP over caller-provided corridor rows of width
+/// `2·band + 2`, all INF on entry.
+///
+/// Corridor-indexed rows: row `i` holds DP cells `j` in
+/// `[i − band, i + band]` at index `j + band − i`, so the rows are
+/// `O(band)` wide instead of `O(lb)`. On a large, low-error document
+/// (the `cer` phase's whole-filing query) full-width rows were the
+/// digitizer's last document-sized transient; corridor rows scale with
+/// the error count instead.
+fn banded_rows<'r, I>(
+    a: I,
+    la: usize,
+    b: &[char],
+    band: usize,
+    mut prev: &'r mut [usize],
+    mut curr: &'r mut [usize],
+) -> Option<usize>
+where
+    I: Iterator<Item = char>,
+{
+    let lb = b.len();
     for (j, p) in prev.iter_mut().skip(band).take(lb.min(band) + 1).enumerate() {
         *p = j;
     }
@@ -231,7 +259,7 @@ impl Corrector {
     pub fn correct_word(&self, word: &str) -> String {
         // Split into (leading punctuation, core, trailing punctuation) so
         // "vehicle," repairs "vehicle" and keeps the comma.
-        self.correct_word_within(word, 1)
+        self.correct_word_within(word, 1, &mut Vec::new())
             .unwrap_or_else(|| word.to_owned())
     }
 
@@ -239,7 +267,15 @@ impl Corrector {
     /// `distance`: unknown words with a *unique* candidate snap to it
     /// (`Some`); ambiguity or no candidate leaves the word alone
     /// (`None` — a wrong repair is worse than a missing one).
-    fn correct_core_within(&self, core: &str, distance: usize) -> Option<&str> {
+    ///
+    /// `chars` is scratch for the core's chars, reused across words so
+    /// the query allocates nothing once it has grown.
+    fn correct_core_within(
+        &self,
+        core: &str,
+        distance: usize,
+        chars: &mut Vec<char>,
+    ) -> Option<&str> {
         if core.is_empty()
             || self.knows(core)
             || !core.chars().any(|c| c.is_ascii_alphabetic())
@@ -253,14 +289,15 @@ impl Corrector {
         if distance > 1 && core.chars().any(|c| c.is_ascii_digit()) {
             return None;
         }
-        let core_chars: Vec<char> = core.chars().collect();
+        chars.clear();
+        chars.extend(core.chars());
         let mut candidate: Option<&str> = None;
         // Only buckets within the length prefilter can hold candidates.
-        let lo = core_chars.len().saturating_sub(distance);
-        let hi = core_chars.len() + distance;
+        let lo = chars.len().saturating_sub(distance);
+        let hi = chars.len() + distance;
         for bucket in (lo..=hi).filter_map(|l| self.by_len.get(l)) {
-            for (word, chars) in bucket {
-                if distance_at_most(&core_chars, chars, distance) == Some(distance) {
+            for (word, word_chars) in bucket {
+                if distance_at_most(chars, word_chars, distance) == Some(distance) {
                     if candidate.is_some() {
                         return None; // ambiguous: leave it
                     }
@@ -274,8 +311,14 @@ impl Corrector {
     /// Corrects one word at a given repair distance (see
     /// [`Corrector::correct_word`], which is the distance-1 form).
     /// `None` means the word is unchanged — the hot path, which
-    /// allocates nothing.
-    fn correct_word_within(&self, word: &str, distance: usize) -> Option<String> {
+    /// allocates nothing (`chars` is the reused core buffer of
+    /// [`Corrector::correct_core_within`]).
+    fn correct_word_within(
+        &self,
+        word: &str,
+        distance: usize,
+        chars: &mut Vec<char>,
+    ) -> Option<String> {
         let start = word
             .find(|c: char| c.is_ascii_alphanumeric())
             .unwrap_or(word.len());
@@ -284,7 +327,7 @@ impl Corrector {
             .map_or(start, |i| i + word[i..].chars().next().map_or(1, char::len_utf8));
         let (prefix, rest) = word.split_at(start);
         let (core, suffix) = rest.split_at(end.saturating_sub(start));
-        let fixed = self.correct_core_within(core, distance)?;
+        let fixed = self.correct_core_within(core, distance, chars)?;
         Some(format!("{prefix}{fixed}{suffix}"))
     }
 
@@ -346,6 +389,7 @@ impl Corrector {
         let mut current = text.to_owned();
         let mut per_attempt = Vec::new();
         let mut repairs = Vec::new();
+        let mut chars = Vec::new();
         for attempt in 1..=max_attempts.max(1) {
             let rung_start = std::time::Instant::now();
             let distance = (attempt as usize).min(2);
@@ -362,7 +406,7 @@ impl Corrector {
                     if word_idx > 0 {
                         out.push(' ');
                     }
-                    match self.correct_word_within(w, distance) {
+                    match self.correct_word_within(w, distance, &mut chars) {
                         Some(fixed) => {
                             hits += 1;
                             out.push_str(&fixed);

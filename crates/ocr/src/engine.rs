@@ -114,7 +114,21 @@ pub struct OcrEngine {
     /// are monotone in the overlap, so a glyph whose cap cannot beat
     /// the incumbent best is skipped without changing the result.
     caps: Vec<[f64; CELL_BITS + 1]>,
+    /// Open-addressed map from a glyph's packed bits to its index in
+    /// `glyphs` (`0` marks an empty slot; no glyph is blank), for the
+    /// exact-match fast path of [`OcrEngine::match_packed`].
+    exact: Box<[(u64, u8); EXACT_SLOTS]>,
     config: EngineConfig,
+}
+
+/// Slots in the exact-match table: a power of two, under half full
+/// with the font's glyphs.
+const EXACT_SLOTS: usize = 256;
+
+/// The home slot of `bits` in the exact-match table (Fibonacci hashing:
+/// the top bits of a multiply by 2⁶⁴/φ).
+fn exact_slot(bits: u64) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - EXACT_SLOTS.trailing_zeros())) as usize
 }
 
 /// [`OcrOutput`] with the confidence vector pre-reduced to its mean's
@@ -177,7 +191,36 @@ impl OcrEngine {
                 row
             })
             .collect();
-        OcrEngine { glyphs, caps, config }
+        assert!(
+            glyphs.len() < EXACT_SLOTS / 2,
+            "exact-match table too small"
+        );
+        let mut exact = Box::new([(0u64, 0u8); EXACT_SLOTS]);
+        for (i, g) in glyphs.iter().enumerate() {
+            let mut slot = exact_slot(g.bits);
+            while exact[slot].0 != 0 {
+                slot = (slot + 1) % EXACT_SLOTS;
+            }
+            exact[slot] = (g.bits, i as u8);
+        }
+        OcrEngine {
+            glyphs,
+            caps,
+            exact,
+            config,
+        }
+    }
+
+    /// The glyph whose bits equal `cell`, if any.
+    fn exact_glyph(&self, cell: u64) -> Option<&PackedGlyph> {
+        let mut slot = exact_slot(cell);
+        loop {
+            match self.exact[slot] {
+                (0, _) => return None,
+                (bits, i) if bits == cell => return Some(&self.glyphs[usize::from(i)]),
+                _ => slot = (slot + 1) % EXACT_SLOTS,
+            }
+        }
     }
 
     /// Recognizes a page bitmap into text with per-character confidence.
@@ -307,7 +350,17 @@ impl OcrEngine {
     /// glyph order with the same strict `>` tie-break — so the result
     /// (char *and* score bits) is identical. The precomputed cap table
     /// only skips glyphs that provably cannot beat the incumbent.
+    ///
+    /// A cell whose bits equal a glyph's — most cells of a lightly
+    /// degraded page — skips the scan. That glyph scores
+    /// `2·k / (k + k) = 1`, and no other glyph reaches 1, which needs
+    /// `overlap = |cell| = |glyph|`, i.e. the same bits (the glyphs are
+    /// distinct). So the scan's first-wins maximum is that glyph, and
+    /// its score is computed below by the scan's own expression.
     pub fn match_packed(&self, cell: u64, cell_ink: u32) -> (char, f64) {
+        if let Some(g) = self.exact_glyph(cell) {
+            return (g.ch, 2.0 * g.ink as f64 / (cell_ink + g.ink) as f64);
+        }
         let mut best = (' ', f64::MIN);
         for (g, caps) in self.glyphs.iter().zip(&self.caps) {
             if caps[cell_ink as usize] <= best.1 {

@@ -2,6 +2,7 @@
 //! grid.
 
 use crate::font::{glyph_for, GLYPH_H, GLYPH_W};
+use std::sync::OnceLock;
 
 /// Horizontal pitch of a character cell (glyph + 1px gap).
 pub const CELL_W: usize = GLYPH_W + 1;
@@ -76,6 +77,18 @@ impl Bitmap {
         }
     }
 
+    /// Words per pixel row (`ceil(width / 64)`).
+    pub(crate) fn words_per_row(&self) -> usize {
+        self.words_per_row
+    }
+
+    /// The packed pixels: row-major, bit `x & 63` of word
+    /// `y · words_per_row + x / 64` carrying pixel `(x, y)`. Callers
+    /// must keep the padding bits past `width` zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Width in pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -132,6 +145,76 @@ impl Bitmap {
     }
 }
 
+/// One glyph's pixel rows, bit `c` of entry `r` carrying pixel
+/// `(c, r)` — the form [`stamp`] ORs into a page row's words.
+pub type GlyphRows = [u8; GLYPH_H];
+
+/// The packed rows of every glyph the font covers, built once. The font
+/// covers only ASCII characters and `—`, so an ASCII-indexed array plus
+/// one slot is the whole table.
+struct GlyphTable {
+    ascii: [Option<GlyphRows>; 128],
+    em_dash: Option<GlyphRows>,
+}
+
+/// `ch`'s glyph split into rows: row `r` is bits `5r .. 5r + 5` of
+/// [`crate::font::Glyph::packed`].
+fn pack_rows(ch: char) -> Option<GlyphRows> {
+    let bits = glyph_for(ch)?.packed();
+    Some(std::array::from_fn(|r| {
+        (bits >> (r * GLYPH_W)) as u8 & ((1 << GLYPH_W) - 1)
+    }))
+}
+
+/// The packed glyph rows for `ch` — exactly [`glyph_for`]`(ch)`'s
+/// pixels, from a table built on first use instead of re-parsed from the
+/// font's pattern strings for every character.
+pub fn glyph_rows(ch: char) -> Option<GlyphRows> {
+    static TABLE: OnceLock<GlyphTable> = OnceLock::new();
+    let table = TABLE.get_or_init(|| GlyphTable {
+        ascii: std::array::from_fn(|i| pack_rows(char::from(i as u8))),
+        em_dash: pack_rows('—'),
+    });
+    match ch {
+        '\0'..='\x7f' => table.ascii[ch as usize],
+        '—' => table.em_dash,
+        _ => None,
+    }
+}
+
+/// ORs `glyph` into the cell whose top-left pixel is `(ox, oy)`. A glyph
+/// row is 5 bits, so it lands in one word or spills its high bits into
+/// the next, which exists whenever the glyph fits the width. A glyph
+/// that does not fit is clipped pixel by pixel, as `Bitmap::set` clips.
+fn stamp(bmp: &mut Bitmap, ox: usize, oy: usize, glyph: &GlyphRows) {
+    if ox + GLYPH_W > bmp.width {
+        for (gy, &bits) in glyph.iter().enumerate() {
+            for gx in (0..GLYPH_W).filter(|&gx| bits >> gx & 1 == 1) {
+                bmp.set(ox + gx, oy + gy, true);
+            }
+        }
+        return;
+    }
+    let (wi, off) = (ox >> 6, ox & 63);
+    for (gy, &bits) in glyph.iter().enumerate() {
+        let base = (oy + gy) * bmp.words_per_row + wi;
+        let bits = u64::from(bits);
+        bmp.words[base] |= bits << off;
+        if off > 64 - GLYPH_W {
+            bmp.words[base + 1] |= bits >> (64 - off);
+        }
+    }
+}
+
+/// Stamps every covered character of `line` into text row `row`.
+fn stamp_line(bmp: &mut Bitmap, line: &str, row: usize) {
+    for (col, ch) in line.chars().enumerate() {
+        if let Some(glyph) = glyph_rows(ch) {
+            stamp(bmp, col * CELL_W, row * CELL_H, &glyph);
+        }
+    }
+}
+
 /// Rasterizes multi-line text onto a page bitmap.
 ///
 /// Each character occupies a fixed `CELL_W × CELL_H` cell; characters the
@@ -148,23 +231,11 @@ pub fn rasterize(text: &str) -> Bitmap {
 /// The result is identical to `*bmp = rasterize(text)`; only the
 /// allocation is saved.
 pub fn rasterize_into(text: &str, bmp: &mut Bitmap) {
-    let lines: Vec<&str> = text.lines().collect();
-    let cols = lines.iter().map(|l| l.chars().count()).max().unwrap_or(0);
-    bmp.reset(cols.max(1) * CELL_W, lines.len().max(1) * CELL_H);
-    for (row, line) in lines.iter().enumerate() {
-        for (col, ch) in line.chars().enumerate() {
-            if let Some(g) = glyph_for(ch) {
-                let ox = col * CELL_W;
-                let oy = row * CELL_H;
-                for (gy, grow) in g.pixels.iter().enumerate() {
-                    for (gx, &ink) in grow.iter().enumerate() {
-                        if ink {
-                            bmp.set(ox + gx, oy + gy, true);
-                        }
-                    }
-                }
-            }
-        }
+    let cols = text.lines().map(|l| l.chars().count()).max().unwrap_or(0);
+    let rows = text.lines().count();
+    bmp.reset(cols.max(1) * CELL_W, rows.max(1) * CELL_H);
+    for (row, line) in text.lines().enumerate() {
+        stamp_line(bmp, line, row);
     }
 }
 
@@ -177,13 +248,51 @@ pub fn rasterize_into(text: &str, bmp: &mut Bitmap) {
 /// a time without ever holding the whole page.
 pub fn rasterize_line_into(line: &str, width: usize, bmp: &mut Bitmap) {
     bmp.reset(width, CELL_H);
-    for (col, ch) in line.chars().enumerate() {
-        if let Some(g) = glyph_for(ch) {
-            let ox = col * CELL_W;
-            for (gy, grow) in g.pixels.iter().enumerate() {
-                for (gx, &ink) in grow.iter().enumerate() {
-                    if ink {
-                        bmp.set(ox + gx, gy, true);
+    stamp_line(bmp, line, 0);
+}
+
+/// The per-pixel rasterizer the glyph-row table replaced — each
+/// character's glyph rebuilt by [`glyph_for`] and set pixel by pixel —
+/// kept as the executable specification [`rasterize_into`] and
+/// [`rasterize_line_into`] are pinned to. Not used on any production
+/// path.
+pub mod spec {
+    use super::{Bitmap, CELL_H, CELL_W};
+    use crate::font::glyph_for;
+
+    /// Per-pixel [`super::rasterize_into`].
+    pub fn rasterize_into(text: &str, bmp: &mut Bitmap) {
+        let lines: Vec<&str> = text.lines().collect();
+        let cols = lines.iter().map(|l| l.chars().count()).max().unwrap_or(0);
+        bmp.reset(cols.max(1) * CELL_W, lines.len().max(1) * CELL_H);
+        for (row, line) in lines.iter().enumerate() {
+            for (col, ch) in line.chars().enumerate() {
+                if let Some(g) = glyph_for(ch) {
+                    let ox = col * CELL_W;
+                    let oy = row * CELL_H;
+                    for (gy, grow) in g.pixels.iter().enumerate() {
+                        for (gx, &ink) in grow.iter().enumerate() {
+                            if ink {
+                                bmp.set(ox + gx, oy + gy, true);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-pixel [`super::rasterize_line_into`].
+    pub fn rasterize_line_into(line: &str, width: usize, bmp: &mut Bitmap) {
+        bmp.reset(width, CELL_H);
+        for (col, ch) in line.chars().enumerate() {
+            if let Some(g) = glyph_for(ch) {
+                let ox = col * CELL_W;
+                for (gy, grow) in g.pixels.iter().enumerate() {
+                    for (gx, &ink) in grow.iter().enumerate() {
+                        if ink {
+                            bmp.set(ox + gx, gy, true);
+                        }
                     }
                 }
             }
@@ -236,10 +345,14 @@ pub fn cell_packed(bmp: &Bitmap, row: usize, col: usize) -> u64 {
 /// [`GLYPH_H`] pixel rows is read once, left to right, across all
 /// columns — so extraction is sequential in memory (cache-friendly)
 /// instead of striding down the page once per cell the way per-cell
-/// extraction does.
+/// extraction does. A cell inside the width takes its 5 bits straight
+/// from the row's words (from one word, or spilling into the next, as
+/// [`stamp`] writes them); columns past the width read white or
+/// clipped through `row_bits`.
 pub fn pack_cell_row(bmp: &Bitmap, row: usize, cols: usize, out: &mut Vec<u64>) {
     out.clear();
     out.resize(cols, 0);
+    let inside = cols.min(bmp.width / CELL_W);
     let oy = row * CELL_H;
     for gy in 0..GLYPH_H {
         let y = oy + gy;
@@ -247,9 +360,18 @@ pub fn pack_cell_row(bmp: &Bitmap, row: usize, cols: usize, out: &mut Vec<u64>) 
             break;
         }
         let shift = gy * GLYPH_W;
-        for (col, word) in out.iter_mut().enumerate() {
-            let rowbits = bmp.row_bits(y, col * CELL_W, GLYPH_W);
-            *word |= rowbits << shift;
+        let words = &bmp.words[y * bmp.words_per_row..(y + 1) * bmp.words_per_row];
+        for (col, cell) in out[..inside].iter_mut().enumerate() {
+            let ox = col * CELL_W;
+            let (wi, off) = (ox >> 6, ox & 63);
+            let mut bits = words[wi] >> off;
+            if off > 64 - GLYPH_W {
+                bits |= words[wi + 1] << (64 - off);
+            }
+            *cell |= (bits & ((1 << GLYPH_W) - 1)) << shift;
+        }
+        for (col, cell) in out.iter_mut().enumerate().skip(inside) {
+            *cell |= bmp.row_bits(y, col * CELL_W, GLYPH_W) << shift;
         }
     }
 }
@@ -300,13 +422,21 @@ mod tests {
 
     #[test]
     fn packed_cells_match_flat_cells() {
-        let b = rasterize("Ab3 —\nz? 8%");
+        use rand::SeedableRng;
+        // Wide enough for cells to straddle words, with speckle in the
+        // gap columns the packed cells must leave out.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let b = crate::noise::NoiseModel::new(0.3, 0.1).degrade(
+            &rasterize("Ab3 —\nz? 8% THE QUICK BROWN FOX — 0123456789"),
+            &mut rng,
+        );
         let (rows, cols) = grid_dims(&b);
         let mut row_cells = Vec::new();
-        for row in 0..rows {
-            pack_cell_row(&b, row, cols, &mut row_cells);
-            assert_eq!(row_cells.len(), cols);
-            for col in 0..cols {
+        // Two columns and a row past the grid read white.
+        for row in 0..rows + 1 {
+            pack_cell_row(&b, row, cols + 2, &mut row_cells);
+            assert_eq!(row_cells.len(), cols + 2);
+            for col in 0..cols + 2 {
                 let flat = cell_pixels(&b, row, col);
                 let packed = cell_packed(&b, row, col);
                 assert_eq!(packed, row_cells[col], "({row},{col})");

@@ -7,8 +7,9 @@
 //! page bitmap, so its peak memory scales with the *document* — and the
 //! sharded pipeline's peak memory is exactly its largest document's
 //! transients. This module produces byte-identical output while holding
-//! only a single [`CELL_H`]-row strip (one text line) at a time, so the
-//! digitizer's footprint scales with the page *width*.
+//! only a single [`CELL_H`](crate::raster::CELL_H)-row strip (one text
+//! line) at a time, so the digitizer's footprint scales with the page
+//! *width*.
 //!
 //! # Why the noise stream survives the restructuring
 //!
@@ -22,11 +23,12 @@
 //! over re-rasterized strips (bleeds re-applied first, as `apply` does
 //! before its flip pass reads ink) draws the same Bernoullis in the
 //! same order against the same pixel states — the degraded page is
-//! reproduced strip for strip, bit for bit.
+//! reproduced strip for strip, bit for bit. Both passes run the same
+//! word kernel as `apply` ([`RowNoise`]) on the strip's packed words.
 
 use crate::engine::{LeanOcrOutput, OcrEngine, OcrScratch};
-use crate::noise::NoiseModel;
-use crate::raster::{rasterize_line_into, Bitmap, CELL_H, CELL_W};
+use crate::noise::{NoiseModel, RowNoise};
+use crate::raster::{rasterize_line_into, Bitmap, CELL_W};
 use rand::Rng;
 
 /// Reusable buffers for [`digitize_streamed`] — one strip bitmap, the
@@ -34,9 +36,9 @@ use rand::Rng;
 pub struct StreamScratch {
     strip: Bitmap,
     ocr: OcrScratch,
-    /// `(strip, x, y)` pixels the smear pass bled ink into, in draw
-    /// order (`y` is strip-local).
-    bleed: Vec<(usize, usize, usize)>,
+    /// `(strip, word, bits)`: the ink the smear pass bled into word
+    /// `word` of strip `strip`'s bitmap, in draw order.
+    bleed: Vec<(usize, usize, u64)>,
 }
 
 impl Default for StreamScratch {
@@ -110,23 +112,18 @@ pub fn digitize_streamed_timed<R: Rng + ?Sized>(
     // Bernoulli (against pristine ink) before any flip draw, so the
     // streamed version must finish this pass over all strips before
     // pass two starts consuming the RNG.
+    let kernel = RowNoise::new(noise);
     scratch.bleed.clear();
-    if noise.smear > 0.0 {
+    if kernel.smears() {
         for (k, line) in strip_lines().enumerate() {
             let t0 = std::time::Instant::now();
             rasterize_line_into(line, width, &mut scratch.strip);
             let t1 = std::time::Instant::now();
             timings.rasterize += t1 - t0;
-            for y in 0..CELL_H {
-                for x in 0..width {
-                    if scratch.strip.get(x, y)
-                        && !scratch.strip.get(x + 1, y)
-                        && rng.gen_bool(noise.smear)
-                    {
-                        scratch.bleed.push((k, x + 1, y));
-                    }
-                }
-            }
+            let bleed = &mut scratch.bleed;
+            kernel.smear(&mut scratch.strip, rng, |word, bits| {
+                bleed.push((k, word, bits));
+            });
             timings.degrade += t1.elapsed();
         }
     }
@@ -134,8 +131,7 @@ pub fn digitize_streamed_timed<R: Rng + ?Sized>(
     // Pass two — re-rasterize each strip, re-apply its bleeds (the
     // flip pass must read post-smear ink), flip, and recognize the
     // strip as one text row.
-    let flips = noise.salt > 0.0 || noise.erosion > 0.0;
-    let mut out = String::new();
+    let mut out = String::with_capacity(text.len());
     let mut conf_sum = 0.0f64;
     let mut chars = 0usize;
     let mut bleed_next = 0;
@@ -144,25 +140,15 @@ pub fn digitize_streamed_timed<R: Rng + ?Sized>(
         rasterize_line_into(line, width, &mut scratch.strip);
         let t1 = std::time::Instant::now();
         timings.rasterize += t1 - t0;
-        while bleed_next < scratch.bleed.len() && scratch.bleed[bleed_next].0 == k {
-            let (_, x, y) = scratch.bleed[bleed_next];
-            scratch.strip.set(x, y, true);
+        let words = scratch.strip.words_mut();
+        while let Some(&(strip, word, bits)) = scratch.bleed.get(bleed_next) {
+            if strip != k {
+                break;
+            }
+            words[word] |= bits;
             bleed_next += 1;
         }
-        if flips {
-            for y in 0..CELL_H {
-                for x in 0..width {
-                    let ink = scratch.strip.get(x, y);
-                    if ink {
-                        if noise.erosion > 0.0 && rng.gen_bool(noise.erosion) {
-                            scratch.strip.set(x, y, false);
-                        }
-                    } else if noise.salt > 0.0 && rng.gen_bool(noise.salt) {
-                        scratch.strip.set(x, y, true);
-                    }
-                }
-            }
-        }
+        kernel.flip(&mut scratch.strip, rng);
         let t2 = std::time::Instant::now();
         timings.degrade += t2 - t1;
         engine.recognize_row_into(&scratch.strip, 0, cols, &mut scratch.ocr);

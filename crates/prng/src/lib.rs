@@ -108,6 +108,52 @@ pub trait Rng {
     }
 }
 
+/// [`Rng::gen_bool`] in exact integer form, for loops that draw the
+/// same probability many times.
+///
+/// `gen_bool(p)` compares `m · 2⁻⁵³ < p`, where `m` is the top 53 bits
+/// of one `next_u64`. `m · 2⁻⁵³` is exact in `f64`, and so is `p · 2⁵³`
+/// (a power-of-two scaling), so for every integer `m`
+/// `m · 2⁻⁵³ < p ⇔ m < p · 2⁵³ ⇔ m < ⌈p · 2⁵³⌉`. [`Bernoulli::sample`]
+/// makes that integer comparison: the same draw, the same answer, the
+/// same stream position as `gen_bool(p)`, without the float conversion.
+///
+/// ```
+/// use disengage_prng::rngs::StdRng;
+/// use disengage_prng::{Bernoulli, Rng, SeedableRng};
+///
+/// let coin = Bernoulli::new(0.3);
+/// let (mut a, mut b) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+/// for _ in 0..100 {
+///     assert_eq!(coin.sample(&mut a), b.gen_bool(0.3));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// `⌈p · 2⁵³⌉`: a draw fires when its top 53 bits are below it.
+    threshold: u64,
+}
+
+impl Bernoulli {
+    /// The integer form of `gen_bool(p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]`, with `gen_bool`'s message.
+    pub fn new(p: f64) -> Bernoulli {
+        assert!((0.0..=1.0).contains(&p), "p = {p} outside [0, 1]");
+        Bernoulli {
+            threshold: (p * (1u64 << 53) as f64).ceil() as u64,
+        }
+    }
+
+    /// One draw: exactly `rng.gen_bool(p)`.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        rng.next_u64() >> 11 < self.threshold
+    }
+}
+
 impl<R: Rng + ?Sized> Rng for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
@@ -328,6 +374,53 @@ mod tests {
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         let rate = hits as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "rate = {rate}");
+    }
+
+    /// Replays scripted raw generator outputs.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl Rng for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("script exhausted")
+        }
+    }
+
+    #[test]
+    fn bernoulli_matches_gen_bool_at_the_threshold() {
+        use super::Bernoulli;
+        let mut ps = vec![0.0, 1.0, 0.5, 0.002, 0.01, 0.06, 5e-324, 1.0f64.next_down()];
+        // Probabilities on and next to the 2⁻⁵³ grid the draws live on,
+        // where a threshold off by one would first show.
+        for k in [1u64, 2, 3, 1 << 20, (1 << 53) - 1] {
+            let p = k as f64 / (1u64 << 53) as f64;
+            ps.extend([p, p.next_down(), p.next_up()]);
+        }
+        let mut seeds = StdRng::seed_from_u64(0xB0B);
+        ps.extend((0..64).map(|_| seeds.gen::<f64>()));
+        for p in ps {
+            // Draws whose top 53 bits sit just below, at and just above
+            // `p · 2⁵³`, with the 11 discarded bits both clear and set.
+            let k = (p * (1u64 << 53) as f64) as u64;
+            let draws: Vec<u64> = [k.saturating_sub(1), k, k + 1, k + 2]
+                .into_iter()
+                .filter(|&m| m < 1 << 53)
+                .flat_map(|m| [m << 11, m << 11 | 0x7FF])
+                .collect();
+            let coin = Bernoulli::new(p);
+            for &d in &draws {
+                assert_eq!(
+                    coin.sample(&mut Script(vec![d].into_iter())),
+                    Script(vec![d].into_iter()).gen_bool(p),
+                    "p = {p:e}, draw {d:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn bernoulli_rejects_out_of_range_p() {
+        let _ = super::Bernoulli::new(f64::NAN);
     }
 
     #[test]
